@@ -115,11 +115,12 @@ def place(
             return topology.endpoint_map[endpoint]
         return None
 
-    def locality(instance: str, node: str) -> float:
-        producers = [
-            producer_node(f.src) for f in augmented.inputs_of(instance)
-        ]
-        known = [p for p in producers if p is not None]
+    def producers(instance: str) -> List[str]:
+        """Nodes hosting the instance's already-placed input producers."""
+        nodes = [producer_node(f.src) for f in augmented.inputs_of(instance)]
+        return [p for p in nodes if p is not None]
+
+    def locality(known: List[str], node: str) -> float:
         if not known:
             return 0.0
         hops = []
@@ -133,12 +134,13 @@ def place(
     capacity_us = augmented.period
     exposure = {n: node_exposure(topology, n) for n in eligible}
 
-    def score(instance: str, node: str, wcet: int, state_bits: int) -> float:
+    def score(instance: str, known: List[str], node: str, wcet: int,
+              state_bits: int) -> float:
         fg_speed = topology.nodes[node].lanes["fg"].speed
         projected = (load[node] + wcet) / max(fg_speed, 1e-9) / capacity_us
         value = config.w_load * projected
         if config.use_locality:
-            value += config.w_locality * locality(instance, node)
+            value += config.w_locality * locality(known, node)
         if config.use_distance and parent_assignment is not None:
             parent_node = parent_assignment.get(instance)
             if parent_node is not None and parent_node != node:
@@ -164,9 +166,11 @@ def place(
         candidates = [n for n in eligible if n not in taken]
         if not candidates:
             raise PlacementError(f"no node left for {instance}")
+        known = producers(instance)
         best = min(
             candidates,
-            key=lambda n: (score(instance, n, task.wcet, task.state_bits), n),
+            key=lambda n: (score(instance, known, n, task.wcet,
+                                 task.state_bits), n),
         )
         assignment[instance] = best
         load[best] += task.wcet

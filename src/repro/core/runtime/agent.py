@@ -22,6 +22,7 @@ point; its resources stay enforced by the substrate.
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, List, Optional, Set, Tuple
 
 from ...crypto.authenticator import AuthenticatedStatement
@@ -1015,7 +1016,7 @@ class NodeAgent:
         self.system.trace.record(EvidenceGenerated(
             time=self.sim.now, detector_node=self.node_id,
             accused_node=accused, fault_kind=kind,
-            evidence_id=hash(evidence.evidence_id) & 0xFFFFFFFF,
+            evidence_id=zlib.crc32(evidence.evidence_id.encode()),
         ))
         if self.log.note_evidence(evidence):
             self._handle_evidence(evidence, from_neighbor=None)
@@ -1053,7 +1054,7 @@ class NodeAgent:
             self.system.trace.record(EvidenceAccepted(
                 time=self.sim.now, node=self.node_id,
                 accused_node=evidence.accused,
-                evidence_id=hash(evidence.evidence_id) & 0xFFFFFFFF,
+                evidence_id=zlib.crc32(evidence.evidence_id.encode()),
             ))
         if decision.reason == "unsupported_soft":
             self._retry_evidence.append(evidence)

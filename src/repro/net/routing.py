@@ -4,6 +4,12 @@ CPS networks are statically configured, so routes are computed once (shortest
 path by hop count, deterministic tie-breaking) and cached. When nodes fail,
 the mode's plan routes around them: :meth:`Router.route` accepts an
 ``excluding`` set and finds paths that avoid those nodes.
+
+:meth:`Router.hop_count` only needs the *length* of a shortest path, which
+does not depend on how ties between equal-length paths are broken. So it
+reads a plain BFS distance map per ``(src, excluding)`` instead of asking
+networkx for a path per destination; :meth:`Router.route` stays the one
+source of actual paths.
 """
 
 from __future__ import annotations
@@ -25,6 +31,10 @@ class Router:
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
         self._cache: Dict[Tuple[str, str, FrozenSet[str]], List[str]] = {}
+        #: (src, excluding) -> hop distance of every node reachable from
+        #: ``src`` through non-excluded intermediate hops.
+        self._distances: Dict[Tuple[str, FrozenSet[str]],
+                              Dict[str, int]] = {}
 
     def route(
         self, src: str, dst: str, excluding: Optional[set] = None
@@ -55,7 +65,40 @@ class Router:
 
     def hop_count(self, src: str, dst: str,
                   excluding: Optional[set] = None) -> int:
-        return len(self.route(src, dst, excluding)) - 1
+        """``len(route(src, dst, excluding)) - 1``, from a cached BFS
+        distance map. An excluded or unreachable ``dst`` goes through
+        :meth:`route`, which allows an excluded endpoint and raises
+        :class:`RoutingError` for the rest."""
+        barred = frozenset(excluding or ())
+        key = (src, barred)
+        distances = self._distances.get(key)
+        if distances is None:
+            distances = self._distances[key] = self._bfs(src, barred)
+        hops = distances.get(dst)
+        if hops is None:
+            return len(self.route(src, dst, excluding)) - 1
+        return hops
+
+    def _bfs(self, src: str, barred: FrozenSet[str]) -> Dict[str, int]:
+        """Hop distances from ``src``; excluded nodes are never entered
+        (``src`` itself is always allowed, as in :meth:`route`)."""
+        adjacency = self.topology.graph.adj
+        if src not in adjacency:
+            return {}
+        distances = {src: 0}
+        frontier = [src]
+        hops = 0
+        while frontier:
+            hops += 1
+            reached = []
+            for node in frontier:
+                for neighbor in adjacency[node]:
+                    if neighbor in distances or neighbor in barred:
+                        continue
+                    distances[neighbor] = hops
+                    reached.append(neighbor)
+            frontier = reached
+        return distances
 
     def hops(self, src: str, dst: str,
              excluding: Optional[set] = None) -> List[Tuple[str, str]]:
@@ -86,5 +129,6 @@ class Router:
         )
 
     def invalidate(self) -> None:
-        """Drop the route cache (topology mutated)."""
+        """Drop the route and distance caches (topology mutated)."""
         self._cache.clear()
+        self._distances.clear()

@@ -204,10 +204,12 @@ def conviction_profile(plan: Plan, victim: str,
                              single_adjacency, periods)
 
 
-def _flood_depth(topology: Topology, excluding: FrozenSet[str]) -> int:
-    """Diameter of the surviving routing graph (BFS, no networkx), with
-    the node count as the safe fallback for disconnected survivors."""
-    alive = [n for n in topology.node_ids() if n not in excluding]
+def _flood_depth(adjacency: Mapping[str, List[str]],
+                 excluding: FrozenSet[str]) -> int:
+    """Diameter of the surviving routing graph (BFS over the sorted
+    ``adjacency``, no networkx), with the node count as the safe
+    fallback for disconnected survivors."""
+    alive = [n for n in adjacency if n not in excluding]
     depth = 0
     for start in alive:
         dist = {start: 0}
@@ -215,7 +217,7 @@ def _flood_depth(topology: Topology, excluding: FrozenSet[str]) -> int:
         while frontier:
             nxt: List[str] = []
             for node in frontier:
-                for neighbor in topology.neighbors(node):
+                for neighbor in adjacency[node]:
                     if neighbor in excluding or neighbor in dist:
                         continue
                     dist[neighbor] = dist[node] + 1
@@ -249,14 +251,18 @@ def _evidence_hop_us(topology: Topology, lane_model: LaneModel,
     return worst_hop, verify, decl_verify
 
 
-def _transfer_us(strategy: Strategy, topology: Topology,
-                 lane_model: LaneModel, parent: FrozenSet[str],
-                 child: FrozenSet[str]) -> int:
-    """Worst-case state-transfer time for one specific mode transition."""
-    bits = strategy.transition_distance(parent, child).state_bits
+def _min_state_rate(topology: Topology, lane_model: LaneModel) -> int:
+    """Slowest STATE-lane rate over every link, in milli-bits per µs."""
     rates = [_milli(lane_model.rate_bits_per_us(link, MessageKind.STATE))
              for link in topology.links.values()]
-    min_rate = min(rates, default=1000)
+    return min(rates, default=1000)
+
+
+def _transfer_us(strategy: Strategy, min_rate: int,
+                 parent: FrozenSet[str], child: FrozenSet[str]) -> int:
+    """Worst-case state-transfer time for one specific mode transition,
+    at the slowest STATE-lane rate ``min_rate`` (see _min_state_rate)."""
+    bits = strategy.transition_distance(parent, child).state_bits
     return _ceil_div(bits * 1000, max(min_rate, 1))
 
 
@@ -350,6 +356,8 @@ def compute_bounds(strategy: Strategy, topology: Topology,
     lead = (config.switch_lead_us if config.switch_lead_us is not None
             else distribution_bound(topology, lane_model, config))
     drift = _drift_eps_us(config)
+    adjacency = {n: topology.neighbors(n) for n in topology.node_ids()}
+    min_rate = _min_state_rate(topology, lane_model)
     slack = config.timing.slack_us
     arrival_slack = config.timing.arrival_slack_us
     grace = config.omission_grace_us
@@ -378,10 +386,10 @@ def compute_bounds(strategy: Strategy, topology: Topology,
 
         for victim in victims:
             faulty = frozenset(pattern) | {victim}
-            depth = _flood_depth(topology, faulty)
+            depth = _flood_depth(adjacency, faulty)
             flood = depth * (hop + verify)
             decl_flood = depth * (hop + decl_verify)
-            transfer = _transfer_us(strategy, topology, lane_model,
+            transfer = _transfer_us(strategy, min_rate,
                                     frozenset(pattern), faulty)
             settle = period + transfer + arrival_slack
             # With f >= 2 a fault can land inside the previous

@@ -72,12 +72,18 @@ class DataflowGraph:
             self.tasks[task.name] = task
         self.sources: Set[str] = set(sources)
         self.sinks: Set[str] = set(sinks)
+        #: Fixed once constructed: the flow indexes below are built here.
         self.flows: List[Flow] = list(flows)
         self._flows_by_name: Dict[str, Flow] = {}
+        #: Flows by consumer and by producer, each in ``flows`` order.
+        self._inputs: Dict[str, List[Flow]] = {}
+        self._outputs: Dict[str, List[Flow]] = {}
         for flow in self.flows:
             if flow.name in self._flows_by_name:
                 raise WorkloadError(f"duplicate flow name: {flow.name}")
             self._flows_by_name[flow.name] = flow
+            self._inputs.setdefault(flow.dst, []).append(flow)
+            self._outputs.setdefault(flow.src, []).append(flow)
         self.validate()
 
     # ---------------------------------------------------------- validation
@@ -129,12 +135,12 @@ class DataflowGraph:
         return self._flows_by_name[name]
 
     def inputs_of(self, task_name: str) -> List[Flow]:
-        """Flows consumed by ``task_name``."""
-        return [f for f in self.flows if f.dst == task_name]
+        """Flows consumed by ``task_name`` (a fresh list)."""
+        return list(self._inputs.get(task_name, ()))
 
     def outputs_of(self, task_name: str) -> List[Flow]:
-        """Flows produced by ``task_name``."""
-        return [f for f in self.flows if f.src == task_name]
+        """Flows produced by ``task_name`` (a fresh list)."""
+        return list(self._outputs.get(task_name, ()))
 
     def sink_flows(self) -> List[Flow]:
         """Flows whose destination is a physical-world sink."""

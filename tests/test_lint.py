@@ -438,3 +438,31 @@ def test_main_list_rules_json(capsys):
     assert main(["--list-rules", "--format=json"]) == 0
     catalogue = json.loads(capsys.readouterr().out)
     assert {r["id"] for r in catalogue} == {r.id for r in ALL_RULES}
+
+
+# ------------------------------------------------------------ builtin-hash
+
+
+def test_builtin_hash_flagged_across_the_package():
+    src = "def tag(evidence_id):\n    return hash(evidence_id) & 0xFFFFFFFF\n"
+    assert rules_hit(src) == ["builtin-hash"]
+    assert rules_hit(src, path=CORE_PATH) == ["builtin-hash"]
+    assert rules_hit(src, path=ANALYSIS_PATH) == ["builtin-hash"]
+
+
+def test_builtin_hash_accepts_stable_digests_and_scope():
+    stable = """\
+        import hashlib
+        import zlib
+        def tag(evidence_id):
+            digest = hashlib.sha256(evidence_id.encode()).hexdigest()
+            return zlib.crc32(evidence_id.encode()), digest, obj.hash()
+    """
+    assert rules_hit(stable) == []
+    # Outside the package (tools, tests) the rule does not apply.
+    assert rules_hit("k = hash('x')\n", path="tools/example.py") == []
+
+
+def test_builtin_hash_pragma():
+    suppressed = "k = hash(key)  # lint: ignore[builtin-hash]  dict key\n"
+    assert lint_source(suppressed, SIM_PATH, ALL_RULES) == []

@@ -12,6 +12,7 @@ from repro.net import (
     bus_topology,
     dual_star_topology,
     full_mesh_topology,
+    geo_topology,
     line_topology,
     mesh_topology,
     ring_topology,
@@ -164,6 +165,87 @@ def test_property_full_mesh_routes_are_single_hop(n):
     topo = full_mesh_topology(n)
     router = Router(topo)
     assert router.hop_count("n0", f"n{n - 1}") == 1
+
+
+def _random_topology(n, edges):
+    """``n`` nodes plus the drawn links (possibly disconnected)."""
+    topo = Topology(name=f"random{n}")
+    for i in range(n):
+        topo.add_node(Node(f"n{i}"))
+    for k, (a, b) in enumerate(sorted(edges)):
+        topo.add_link(Link(f"l{k}", (f"n{a}", f"n{b}"), 1e6))
+    return topo
+
+
+@st.composite
+def _topologies(draw):
+    kind = draw(st.sampled_from(["ring", "line", "mesh", "geo", "random"]))
+    if kind == "ring":
+        return ring_topology(draw(st.integers(3, 9)))
+    if kind == "line":
+        return line_topology(draw(st.integers(2, 9)))
+    if kind == "mesh":
+        return mesh_topology(draw(st.integers(1, 3)), draw(st.integers(2, 4)))
+    if kind == "geo":
+        return geo_topology(draw(st.integers(2, 3)), draw(st.integers(2, 4)))
+    n = draw(st.integers(2, 9))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] < p[1])
+    return _random_topology(n, draw(st.sets(pairs, max_size=2 * n)))
+
+
+def _or_routing_error(call, *args):
+    try:
+        return call(*args)
+    except RoutingError:
+        return RoutingError
+
+
+@settings(max_examples=150, deadline=None)
+@given(topo=_topologies(), data=st.data())
+def test_property_hop_count_matches_route_length(topo, data):
+    """Distance-map hop counts equal the networkx route length, or both
+    raise, for any excluded set: one holding ``src`` or ``dst``, or one
+    that partitions the graph."""
+    nodes = topo.node_ids()
+    hop_router, route_router = Router(topo), Router(topo)
+    for _ in range(6):
+        src = data.draw(st.sampled_from(nodes))
+        dst = data.draw(st.sampled_from(nodes))
+        excluding = data.draw(st.sets(st.sampled_from(nodes)))
+        if data.draw(st.booleans()):
+            excluding |= {data.draw(st.sampled_from([src, dst]))}
+        hops = _or_routing_error(hop_router.hop_count, src, dst, excluding)
+        path = _or_routing_error(route_router.route, src, dst, excluding)
+        assert hops == (RoutingError if path is RoutingError
+                        else len(path) - 1)
+
+
+def test_hop_count_edge_cases_follow_route():
+    topo = line_topology(5)
+    router = Router(topo)
+    # An excluded endpoint is still allowed, as in route().
+    assert router.hop_count("n0", "n2", {"n0", "n2"}) == 2
+    assert router.hop_count("n1", "n1", {"n1"}) == 0
+    # A partition and an unknown endpoint raise like route().
+    for src, dst, excluding in (("n0", "n4", {"n2"}),
+                                ("n0", "ghost", None),
+                                ("ghost", "n0", None)):
+        with pytest.raises(RoutingError):
+            router.hop_count(src, dst, excluding)
+
+
+def test_hop_count_sees_new_link_after_invalidate():
+    topo = line_topology(5)
+    router = Router(topo)
+    assert router.hop_count("n0", "n4") == 4
+    with pytest.raises(RoutingError):
+        router.hop_count("n0", "n4", {"n2"})
+    topo.add_link(Link("shortcut", ("n0", "n4"), 1e6))
+    router.invalidate()
+    assert router.hop_count("n0", "n4") == 1
+    assert router.hop_count("n0", "n4", {"n2"}) == 1
+    assert router.hop_count("n1", "n4", {"n2"}) == 2
 
 
 # -------------------------------------------------------------- reservation

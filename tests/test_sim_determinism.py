@@ -114,3 +114,45 @@ def test_f2_pacing_deterministic():
         return fingerprint(system.run(24, adversary))
 
     assert run() == run()
+
+
+_HASH_SEED_RUN = """
+from repro import BTRConfig, BTRSystem
+from repro.faults import stage
+from repro.net import full_mesh_topology
+from repro.perf.fastpath import trace_fingerprint
+from repro.sim.trace import EvidenceGenerated
+from repro.workload import industrial_workload
+
+system = BTRSystem(industrial_workload(),
+                   full_mesh_topology(7, bandwidth=1e8),
+                   BTRConfig(f=1, seed=42))
+system.prepare()
+scenario = stage("single_commission", system)
+result = system.run(12, adversary=scenario.script,
+                    link_script=scenario.link_script)
+evidence = sum(isinstance(e, EvidenceGenerated) for e in result.trace)
+print(evidence, trace_fingerprint(result.trace))
+"""
+
+
+def test_full_trace_is_stable_across_hash_seeds():
+    """Two processes with different str-hash salts record the same full
+    trace, evidence ids included."""
+    import os
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.path.join(repo, "src"))
+        out = subprocess.run([sys.executable, "-c", _HASH_SEED_RUN],
+                             capture_output=True, text=True, env=env,
+                             cwd=repo)
+        assert out.returncode == 0, out.stderr
+        outputs.append(out.stdout.split())
+    (evidence, first), (_, second) = outputs
+    assert int(evidence) > 0  # the run does record evidence ids
+    assert first == second

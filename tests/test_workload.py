@@ -15,9 +15,12 @@ from repro.workload import (
     compute_output,
     industrial_workload,
     pipeline_workload,
+    power_grid_workload,
     random_workload,
     sensor_reading,
+    stretched_workload,
 )
+from repro.core.planner.augment import AugmentConfig, augment
 
 
 # --------------------------------------------------------------- criticality
@@ -246,3 +249,44 @@ def test_random_workload_is_seed_deterministic():
         t.name for t in g2.tasks.values()]
     assert [(f.name, f.src, f.dst) for f in g1.flows] == [
         (f.name, f.src, f.dst) for f in g2.flows]
+
+
+# ---------------------------------------------------------- flow index
+
+
+GENERATED = {
+    "pipeline": lambda: pipeline_workload(),
+    "avionics": lambda: avionics_workload(),
+    "industrial": lambda: industrial_workload(),
+    "automotive": lambda: automotive_workload(),
+    "power_grid": lambda: power_grid_workload(),
+    "random": lambda: random_workload(DeterministicRandom(7), n_tasks=12),
+    "stretched": lambda: stretched_workload(industrial_workload(), 10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+@pytest.mark.parametrize("replicas", [None, 2, 3])
+def test_flow_index_matches_a_scan_of_every_flow(name, replicas):
+    graph = GENERATED[name]()
+    if replicas is not None:
+        graph = augment(graph, AugmentConfig(replicas=replicas))
+    endpoints = (set(graph.tasks) | graph.sources | graph.sinks
+                 | {"no-such-endpoint"})
+    for endpoint in sorted(endpoints):
+        assert graph.inputs_of(endpoint) == [
+            f for f in graph.flows if f.dst == endpoint]
+        assert graph.outputs_of(endpoint) == [
+            f for f in graph.flows if f.src == endpoint]
+
+
+def test_flow_index_returns_fresh_lists():
+    graph = industrial_workload()
+    task = graph.topological_order()[-1]
+    inputs, outputs = graph.inputs_of(task), graph.outputs_of(task)
+    expected_in, expected_out = list(inputs), list(outputs)
+    inputs.clear()
+    outputs.append(graph.flows[0])
+    assert graph.inputs_of(task) == expected_in
+    assert graph.outputs_of(task) == expected_out
+    assert graph.inputs_of(task) is not graph.inputs_of(task)

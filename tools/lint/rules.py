@@ -34,6 +34,10 @@ numbers:
   literal in its arithmetic rounds a worst case down and quietly breaks
   dominance. The deliberate float sites (tightness ratios, millisecond
   display) carry pragmas saying so.
+* ``builtin-hash`` — the builtin ``hash()`` of a ``str`` or ``bytes`` is
+  salted per process (``PYTHONHASHSEED``), so a value derived from it
+  differs between two runs of the same seed; use a stable digest
+  (``zlib.crc32``, ``hashlib``).
 
 The first two are scoped to ``src/repro/sim``, ``src/repro/core`` and
 ``src/repro/perf`` (the determinism-critical layers); the clock/RNG
@@ -54,6 +58,7 @@ batched core's sanctioned transmit paths (which carry pragmas), and
 core (``repro/perf/shardcore``) sits in every one of those scopes plus
 ``int-time``: its window loops are the innermost loops of a sharded
 run, and its horizon arithmetic must stay in integer microseconds.
+``builtin-hash`` applies to the whole ``repro`` package.
 """
 
 from __future__ import annotations
@@ -430,6 +435,26 @@ class FloatTimeArithmeticRule(Rule):
                         break
 
 
+class BuiltinHashRule(Rule):
+    """Flag calls to the builtin ``hash()`` anywhere in the package."""
+
+    id = "builtin-hash"
+    description = ("builtin hash() of str/bytes is salted per process, "
+                   "so anything recorded from it differs across runs; "
+                   "use a stable digest (zlib.crc32, hashlib)")
+
+    def applies_to(self, path: str) -> bool:
+        return "repro/" in _posix(path)
+
+    def check(self, tree: ast.AST) -> Iterator[Hit]:
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "hash"):
+                yield (node.lineno, node.col_offset,
+                       "call to builtin hash()")
+
+
 ALL_RULES = (
     WallClockRule(),
     UnseededRandomRule(),
@@ -439,11 +464,13 @@ ALL_RULES = (
     EngineScheduleBypassRule(),
     AllocationInLoopRule(),
     FloatTimeArithmeticRule(),
+    BuiltinHashRule(),
 )
 
 __all__ = [
     "ALL_RULES",
     "AllocationInLoopRule",
+    "BuiltinHashRule",
     "EngineScheduleBypassRule",
     "FloatEqualityRule",
     "FloatTimeArithmeticRule",
