@@ -1,214 +1,237 @@
-"""E19 — Batched event core: structural speedup, byte-identical traces.
+"""E19 — Engine throughput: one runtime, pinned by golden traces.
 
-PR 4's fast path (E17) optimised the work *inside* each event; the
-batched core (``repro.perf.batchcore``, ``BTRConfig(batched_core=True)``)
-restructures the event stream itself: periodic heartbeat/sensor fan-outs
-become one vectorised step per (sender, arrival) group with authenticator
-batching, hot-path messages come from a recycling pool, and multi-seed
-sweeps share frozen plans and key directories in one process
-(``run_sweep``). The invariant is inherited from E17 and checked harder:
-for every scenario × seed in the matrix the **full-mode trace is
-byte-identical** (``trace_fingerprint``) between the batched and
-reference paths, and the sweep path must reproduce the per-seed
-reference fingerprints exactly.
+The runtime has one execution path: the batched emitters (periodic
+heartbeat/evidence fan-outs as one heap event per (sender, arrival)
+group, pooled messages, coalesced timers) on one tuple-heap event loop,
+with the signature verify memo. This experiment measures its throughput
+on every deployment the golden trace table covers at scale —
 
-The benchmark runs the E17 scenario set on a geo-scale mesh (the
-workload class the batched core exists for — model-checking campaigns
-and wide topologies where per-period flooding is O(n²) while plan
-execution is O(n)). Columns per scenario: reference vs batched events/sec
-(milestone trace, the benchmark configuration), the speedup, and the
-sweep throughput. The acceptance bar on the default sweep is a ≥2×
-*geomean* speedup across scenarios; the per-mesh scaling column below
-documents that the ratio grows with fan-out degree (at E17's n=7 mesh
-the same gate measures ~1.3×).
+* the industrial workload on ``fullmesh:7`` (40 periods) and
+  ``fullmesh:15`` (30 periods) under the ``single_commission``,
+  ``checker_host_crash`` and ``flood_plus_fault`` scenarios, seeds 42
+  and 43;
+* the stretched industrial workload on the geo deployments ``geo:3x20``,
+  ``geo:6x20`` and ``geo:4x30`` (8 periods, gateway crash plus WAN
+  brownout).
 
-Environment knobs (used by the CI perf-smoke job):
+**The gate.** Every row's full-mode and milestone-mode runs must
+reproduce the committed golden rows (``tests/golden/traces.json``:
+trace fingerprint and ``events_executed``), and so must the sweep and
+pool columns. This replaces the reference columns earlier versions of
+this experiment (and E17/E22) compared against: the engines they ran are
+gone, their agreement on every row is what the table recorded.
 
-* ``REPRO_E19_SWEEP=smoke`` — single scenario, small mesh, no geomean
-  assertion (wall-clock ratios on shared runners are recorded, the
-  byte-equality gate is always enforced).
+**The clocks** (milestone traces, one process): engine events/sec; the
+in-process multi-seed sweep (``run_sweep``: two seeds sharing one
+prepared system); and on geo rows the process-pool sweep
+(``run_sweep_pool``) against the serial sweep of the same seeds. The
+pool speedup is gated only where parallelism exists (>= 2 cores).
+
+**The floor** (full sweep): >= 185,000 events/s on every >= 100-node
+deployment — twice the committed single-loop reference of the retired
+sharding experiment (3,250,710 events in 35.06 s on ``geo:4x30``,
+``benchmarks/results/geo_stats.jsonl``). ``tools/bench_check.py``
+enforces the same floor on the committed ``BENCH_sim.json`` trajectory.
+
+Environment knobs (used by the CI engine-smoke job):
+
+* ``REPRO_E19_SWEEP=smoke`` — ``single_commission`` on ``fullmesh:7``
+  and ``geo:3x20`` (with the pool), seed 42; the golden gate is always
+  enforced, no wall-clock assertions.
 """
 
-import math
 import os
 
-from harness import (
-    harness_cache_dir,
-    one_shot,
-    record_sim,
-    sweep_btr,
-    write_result,
-)
-from repro import BTRConfig, BTRSystem
+from harness import harness_cache_dir, one_shot, record_sim, write_result
 from repro.analysis import format_table
-from repro.faults.scenarios import stage
-from repro.net import full_mesh_topology
-from repro.perf import trace_fingerprint
+from repro.perf import (
+    GeoSweepSpec,
+    online_stats,
+    run_sweep,
+    run_sweep_pool,
+    trace_fingerprint,
+)
 from repro.perf.timing import Stopwatch
-from repro.workload import industrial_workload
+from tools import golden
 
-#: (scenario, n_nodes, f, n_periods) — the E17 scenario set on a
-#: geo-scale mesh: steady broadcast traffic, the audit fallback, and
-#: adversarial evidence load (where pooled messages must recycle under
-#: flood pressure without changing a byte).
+#: (golden topology, scenario or None for geo rows, seeds, pool).
 SWEEP_FULL = [
-    ("single_commission", 15, 1, 30),
-    ("checker_host_crash", 15, 1, 30),
-    ("flood_plus_fault", 15, 2, 30),
+    *[("fullmesh:7", name, (42, 43), False)
+      for name, _ in golden.ENGINE_SCENARIOS],
+    *[("fullmesh:15", name, (42, 43), False)
+      for name, _ in golden.ENGINE_SCENARIOS],
+    ("geo:3x20", None, (42, 43), False),
+    ("geo:6x20", None, (42,), False),
+    ("geo:4x30", None, (42, 43), True),
 ]
-SWEEP_SMOKE = [("single_commission", 7, 1, 20)]
+SWEEP_SMOKE = [("fullmesh:7", "single_commission", (42,), False),
+               ("geo:3x20", None, (42,), True)]
 
-SEEDS_FULL = (42, 43)
-SEEDS_SMOKE = (42,)
+#: Seeds of the pool column (enough work per worker for the process
+#: start and rebuild to amortise).
+POOL_SEEDS = (42, 43, 44, 45)
 
-#: Acceptance bar: geomean batched/reference events-per-second ratio on
-#: the default sweep. A ratio of in-process wall clocks, so load on
-#: shared runners moves both columns together.
-GEOMEAN_GATE = 2.0
+#: Absolute throughput floor on >= 100-node deployments, events/s:
+#: 2 x 3,250,710 events / 35.06 s (the retired single-loop reference).
+EVENTS_PER_S_FLOOR = 185_000
+FLOOR_NODES = 100
+
+#: Pool parallelism is gated only where it physically exists.
+POOL_GATE = 1.5
 
 
 def smoke() -> bool:
     return os.environ.get("REPRO_E19_SWEEP") == "smoke"
 
 
-def _prepared(name: str, n_nodes: int, f: int, seed: int,
-              batched: bool, trace_mode: str):
-    system = BTRSystem(
-        industrial_workload(),
-        full_mesh_topology(n_nodes, bandwidth=1e8),
-        BTRConfig(f=f, seed=seed, cache=harness_cache_dir(),
-                  trace_mode=trace_mode, batched_core=batched),
-    )
-    system.prepare()
-    return system, stage(name, system)
+def golden_row(topology: str, scenario: str, seed: int, mode: str) -> dict:
+    for row in golden.load():
+        if (row.get("topology"), row.get("scenario"), row.get("seed"),
+                row["trace_mode"]) == (topology, scenario, seed, mode):
+            return row
+    raise LookupError(f"no golden row for {topology} {scenario} "
+                      f"s{seed} {mode}")
 
 
-def _timed_run(system, scenario, n_periods: int):
-    watch = Stopwatch()
-    result = system.run(n_periods, adversary=scenario.script,
-                        link_script=scenario.link_script or None)
-    return result, watch.elapsed_s()
+def matches(row: dict, fingerprint: str, events: int) -> bool:
+    return (fingerprint, events) == (row["fingerprint"],
+                                     row["events_executed"])
 
 
-def run_case(name: str, n_nodes: int, f: int, n_periods: int, seed: int):
-    """One scenario × seed: the byte-equality gate, then the clocks."""
-    # --- The gate: full traces byte-identical, reference vs batched. ---
-    ref_sys, ref_scn = _prepared(name, n_nodes, f, seed,
-                                 batched=False, trace_mode="full")
-    bat_sys, bat_scn = _prepared(name, n_nodes, f, seed,
-                                 batched=True, trace_mode="full")
-    ref_res, _ = _timed_run(ref_sys, ref_scn, n_periods)
-    bat_res, _ = _timed_run(bat_sys, bat_scn, n_periods)
-    fp_ref = trace_fingerprint(ref_res.trace)
-    assert trace_fingerprint(bat_res.trace) == fp_ref, (
-        f"{name} seed={seed}: batched core changed the full trace"
-    )
-    events = ref_sys.sim.events_executed
-    assert bat_sys.sim.events_executed == events, (
-        f"{name} seed={seed}: events_executed gauge diverged"
-    )
+def run_case(topology: str, scenario: str, seed: int, pool: bool) -> dict:
+    full = golden_row(topology, scenario, seed, "full")
+    miles = golden_row(topology, scenario, seed, "milestones")
+    n_nodes = golden.nodes_of(full)
+
+    # --- The gate: the full-mode run reproduces its golden row. ---
+    golden_ok = matches(full, *golden.run_row(full))
 
     # --- The clocks: milestone trace, the benchmark configuration. ---
-    ref_m_sys, ref_m_scn = _prepared(name, n_nodes, f, seed,
-                                     batched=False, trace_mode="milestones")
-    bat_m_sys, bat_m_scn = _prepared(name, n_nodes, f, seed,
-                                     batched=True, trace_mode="milestones")
-    ref_m_res, ref_s = _timed_run(ref_m_sys, ref_m_scn, n_periods)
-    bat_m_res, bat_s = _timed_run(bat_m_sys, bat_m_scn, n_periods)
-    fp_miles = trace_fingerprint(ref_m_res.trace)
-    assert trace_fingerprint(bat_m_res.trace) == fp_miles
-    assert bat_m_res.trace.kind_counts() == ref_m_res.trace.kind_counts()
+    system = golden.prepared(miles)
+    watch = Stopwatch()
+    result = golden.execute(system, miles)
+    wall = watch.elapsed_s()
+    events = system.sim.events_executed
+    golden_ok &= matches(miles, trace_fingerprint(result.trace), events)
+    crypto = online_stats(system)
+    batches = system.batch_runtime.stats()
 
-    # --- The sweep path reproduces per-seed reference fingerprints. ---
-    sweep_seeds = (seed, seed + 1000)
-    sweep = sweep_btr(
-        sweep_seeds, scenario=name, n_periods=n_periods,
-        n_nodes=n_nodes, f=f,
-        config=BTRConfig(f=f, seed=seed, cache=harness_cache_dir(),
-                         trace_mode="milestones", batched_core=True),
-    )
-    assert sweep[0].fingerprint == fp_miles, (
-        f"{name} seed={seed}: sweep diverged from the fresh-system run"
-    )
-    sib_sys, sib_scn = _prepared(name, n_nodes, f, sweep_seeds[1],
-                                 batched=False, trace_mode="milestones")
-    sib_res, _ = _timed_run(sib_sys, sib_scn, n_periods)
-    assert sweep[1].fingerprint == trace_fingerprint(sib_res.trace), (
-        f"{name}: sibling seed {sweep_seeds[1]} diverged from a freshly "
-        f"planned reference system"
-    )
+    # --- The sweep: a sibling seed shares the prepared system. ---
+    sweep = run_sweep(system, (seed, seed + 1000), miles["periods"],
+                      scenario=miles["scenario"])
+    golden_ok &= sweep[0].fingerprint == miles["fingerprint"]
     sweep_wall = sum(run.wall_s for run in sweep)
     sweep_events = sum(run.result.metrics["gauges"]["sim_events_executed"]
                        for run in sweep)
 
-    batch_stats = bat_m_sys.batch_runtime.stats()
-    return {
-        "scenario": name,
+    row = {
+        "scenario": miles["scenario"],
+        "topology": topology,
         "n_nodes": n_nodes,
-        "f": f,
-        "n_periods": n_periods,
+        "f": miles["f"],
+        "n_periods": miles["periods"],
         "seed": seed,
         "sim_events": events,
-        "wall_ref_s": round(ref_s, 4),
-        "wall_batched_s": round(bat_s, 4),
-        "events_per_s_ref": round(events / ref_s) if ref_s else None,
-        "events_per_s_batched": round(events / bat_s) if bat_s else None,
-        "speedup_batched": round(ref_s / bat_s, 2) if bat_s else None,
-        "sweep_seeds": len(sweep_seeds),
+        "wall_s": round(wall, 4),
+        "events_per_s": round(events / wall) if wall else None,
         "sweep_events_per_s": (round(sweep_events / sweep_wall)
                                if sweep_wall else None),
-        "batches_fired": batch_stats["batches_fired"],
-        "entries_batched": batch_stats["entries_batched"],
-        "pool_reused": batch_stats["pool"]["reused"],
-        "traces_identical": True,
+        "batches_fired": batches["batches_fired"],
+        "entries_batched": batches["entries_batched"],
+        "signs": crypto["signs"],
+        "verifies": crypto["verifies"],
+        "memo_hits": crypto["memo"]["hits"],
+        "memo_misses": crypto["memo"]["misses"],
     }
+
+    # --- The pool: per-seed fingerprints survive the process boundary.
+    if pool:
+        regions, per_region = topology.partition(":")[2].split("x")
+        spec = GeoSweepSpec(regions=int(regions),
+                            nodes_per_region=int(per_region),
+                            stretch=miles["stretch"], f=miles["f"],
+                            n_periods=miles["periods"],
+                            scenario=miles["scenario"],
+                            cache=harness_cache_dir() or None,
+                            trace_mode="milestones")
+        watch = Stopwatch()
+        serial = run_sweep(system, POOL_SEEDS, miles["periods"],
+                           scenario=miles["scenario"])
+        serial_s = watch.elapsed_s()
+        serial_fps = {run.seed: run.fingerprint for run in serial}
+        golden_ok &= serial_fps[seed] == miles["fingerprint"]
+        cores = os.cpu_count() or 1
+        watch = Stopwatch()
+        out = run_sweep_pool(spec, POOL_SEEDS,
+                             workers=min(len(POOL_SEEDS), max(cores, 2)))
+        pool_s = watch.elapsed_s()
+        for entry in out["runs"]:
+            golden_ok &= entry["fingerprint"] == serial_fps[entry["seed"]]
+        row.update({
+            "pool_seeds": len(POOL_SEEDS),
+            "pool_workers": out["workers"],
+            "pooled": out["pooled"],
+            "cores": cores,
+            "wall_serial_sweep_s": round(serial_s, 4),
+            "wall_pool_sweep_s": round(pool_s, 4),
+            "pool_speedup": round(serial_s / pool_s, 2) if pool_s else None,
+        })
+    row["golden_match"] = bool(golden_ok)
+    return row
 
 
 def run_experiment():
-    sweep = SWEEP_SMOKE if smoke() else SWEEP_FULL
-    seeds = SEEDS_SMOKE if smoke() else SEEDS_FULL
     cases = []
-    for name, n_nodes, f, n_periods in sweep:
+    for topology, scenario, seeds, pool in (SWEEP_SMOKE if smoke()
+                                            else SWEEP_FULL):
+        if scenario is None:
+            scenario = topology
         for seed in seeds:
-            case = run_case(name, n_nodes, f, n_periods, seed)
-            record_sim(case, label=f"e19:{name}:s{seed}")
+            case = run_case(topology, scenario, seed, pool)
+            record_sim(case, label=f"e19:{scenario}@{topology}:s{seed}")
             cases.append(case)
     return cases
-
-
-def _geomean(values) -> float:
-    values = list(values)
-    return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
 def test_e19_batched_core(benchmark):
     cases = one_shot(benchmark, run_experiment)
 
     rows = [[
-        c["scenario"], c["n_nodes"], c["seed"], c["sim_events"],
-        f"{c['events_per_s_ref']:,}", f"{c['events_per_s_batched']:,}",
-        f"{c['speedup_batched']:.2f}x", f"{c['sweep_events_per_s']:,}",
+        c["scenario"], c["n_nodes"], c["seed"], f"{c['sim_events']:,}",
+        f"{c['events_per_s']:,}", f"{c['sweep_events_per_s']:,}",
+        (f"{c['pool_speedup']:.2f}x@{c['pool_workers']}w"
+         if c.get("pool_speedup") else "-"),
         f"{c['entries_batched']}/{c['batches_fired']}",
-        "identical",
+        f"{c['memo_hits']}/{c['memo_hits'] + c['memo_misses']}",
+        "match" if c["golden_match"] else "MISMATCH",
     ] for c in cases]
     write_result("e19_batched_core", format_table(
-        "E19: batched event core (industrial workload, geo-scale full "
-        "mesh; ref = PR 4 fast path, batched = batched_core, both on "
-        "milestone traces; full traces asserted byte-identical)",
-        ["scenario", "n", "seed", "sim events", "ev/s ref", "ev/s batched",
-         "speedup", "ev/s sweep", "batched entries/events", "full trace"],
+        "E19: engine throughput (industrial workload on full meshes, "
+        "stretched industrial on geo deployments; milestone traces; "
+        "full and milestone traces checked against the golden table)",
+        ["scenario", "n", "seed", "sim events", "ev/s", "ev/s sweep",
+         "pool", "batched entries/events", "memo hits/lookups",
+         "golden"],
         rows,
     ))
 
     for c in cases:
-        assert c["traces_identical"]
+        assert c["golden_match"], (
+            f"{c['scenario']} seed={c['seed']}: run diverged from the "
+            f"golden trace table")
         # Batching must actually coalesce: strictly fewer heap events
-        # than batched entries (otherwise the core degenerated to the
-        # reference one-event-per-message shape).
+        # than batched entries.
         assert c["batches_fired"] < c["entries_batched"]
+        assert c["memo_hits"] > 0
     if not smoke():
-        geo = _geomean(c["speedup_batched"] for c in cases)
-        assert geo >= GEOMEAN_GATE, (
-            f"batched core under the bar: geomean {geo:.2f}x < "
-            f"{GEOMEAN_GATE}x over the fast path"
-        )
+        big = [c for c in cases if c["n_nodes"] >= FLOOR_NODES]
+        assert big, "full sweep must include a >=100-node deployment"
+        for c in big:
+            assert c["events_per_s"] >= EVENTS_PER_S_FLOOR, (
+                f"{c['scenario']}: {c['events_per_s']:,} events/s under "
+                f"the {EVENTS_PER_S_FLOOR:,} floor")
+        for c in cases:
+            if c.get("pooled") and c.get("cores", 1) >= 2:
+                assert c["pool_speedup"] >= POOL_GATE, (
+                    f"{c['scenario']}: pool sweep {c['pool_speedup']}x "
+                    f"< {POOL_GATE}x on {c['cores']} cores")

@@ -66,7 +66,7 @@ def _graph_from_dict(data: dict) -> DataflowGraph:
     )
 
 
-def _schedule_to_dict(schedule: GlobalSchedule) -> dict:
+def _timetable_to_dict(schedule: GlobalSchedule) -> dict:
     return {
         "period": schedule.period,
         "assignment": dict(schedule.assignment),
@@ -84,7 +84,7 @@ def _schedule_to_dict(schedule: GlobalSchedule) -> dict:
     }
 
 
-def _schedule_from_dict(data: dict) -> GlobalSchedule:
+def _timetable_from_dict(data: dict) -> GlobalSchedule:
     node_schedules = {}
     for node, entries in data["node_schedules"].items():
         ns = NodeSchedule(node, data["period"])
@@ -111,7 +111,7 @@ def plan_to_dict(plan: Plan) -> dict:
         "workload": _graph_to_dict(plan.workload),
         "augmented": _graph_to_dict(plan.augmented),
         "assignment": dict(plan.assignment),
-        "schedule": _schedule_to_dict(plan.schedule),
+        "schedule": _timetable_to_dict(plan.schedule),
         "kept_levels": sorted(l.value for l in plan.kept_levels),
         "routes": {name: list(route)
                    for name, route in plan.routes.items()},
@@ -124,7 +124,7 @@ def plan_from_dict(data: dict) -> Plan:
         workload=_graph_from_dict(data["workload"]),
         augmented=_graph_from_dict(data["augmented"]),
         assignment=dict(data["assignment"]),
-        schedule=_schedule_from_dict(data["schedule"]),
+        schedule=_timetable_from_dict(data["schedule"]),
         kept_levels={Criticality(v) for v in data["kept_levels"]},
         routes={name: list(route)
                 for name, route in data["routes"].items()},

@@ -22,6 +22,7 @@ point; its resources stay enforced by the substrate.
 
 from __future__ import annotations
 
+import weakref
 import zlib
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -80,18 +81,14 @@ class NodeAgent:
         self.node = node
         self.node_id = node.node_id
         self.config = system.config
-        #: The online fast path (verify memo, per-plan window memos,
-        #: cached neighbour lists). Behaviour preserving either way.
-        self._fastpath = system.config.runtime_fastpath
         #: Static topology: the sorted neighbour list never changes
-        #: mid-run, so the fast path computes it once per agent instead
-        #: of re-sorting the adjacency on every broadcast/heartbeat.
+        #: mid-run, so it is computed once per agent instead of
+        #: re-sorting the adjacency on every broadcast/heartbeat.
         self._neighbors = tuple(system.topology.neighbors(self.node_id))
-        #: The batched event core's per-run state (None unless
-        #: ``config.batched_core``): fan-outs route through its
-        #: vectorised emitters, per-period timers coalesce, and hot-path
-        #: messages come from its pool. Behaviour preserving (E19).
-        self._batched = system.batch_runtime
+        #: The batched emitters (:mod:`repro.perf.batchcore`): fan-outs
+        #: go out as one heap event per (sender, arrival) group, and
+        #: hot-path messages come from their pool.
+        self._batch = system.batch_runtime
         self.behavior: FaultBehavior = FaultBehavior()
         self.switcher = ModeSwitcher(
             system.strategy, system.workload.period, system.switch_lead_us,
@@ -114,9 +111,15 @@ class NodeAgent:
         #: anti-backdating half of the freshness defence.
         self._evidence_staleness = (4 * period + system.switch_lead_us
                                     + system.budget.settling_us)
+        # The validator and the blame tracker call back into this agent
+        # through weak method references: bound methods would make every
+        # run's agents, evidence logs and signed statements one reference
+        # cycle, which lingers until a full garbage collection.
+        roster_lookup = weakref.WeakMethod(self._roster_lookup)
+        node_alive = weakref.WeakMethod(self._node_alive)
         self.validator = EvidenceValidator(
             system.directory,
-            roster_lookup=self._roster_lookup,
+            roster_lookup=lambda base: roster_lookup()(base),
             attribution_threshold=self.config.blame_slot_threshold,
             period=period,
             timing_slack=self.config.timing.slack_us,
@@ -128,7 +131,7 @@ class NodeAgent:
         self.blame = BlameTracker(
             slot_threshold=self.config.blame_slot_threshold,
             min_declarers=self.config.blame_min_declarers,
-            liveness=self._node_alive,
+            liveness=lambda node: node_alive()(node),
             metrics=system.metrics,
         )
         #: origin -> time of last flooded heartbeat (liveness signal for
@@ -154,8 +157,9 @@ class NodeAgent:
         #: (sender, period) -> control records whose verification this
         #: node has already paid for (per-sender CPU quota, §4.3).
         self._ctrl_quota: Dict[Tuple[str, int], int] = {}
-        #: Flow copies this node is the final consumer of (per plan).
-        self._expected: List[Tuple[str, str, int]] = []
+        #: Flow copies this node is the final consumer of (per plan), as
+        #: ``(planned arrival, [flow copies])`` groups.
+        self._expected_groups: List[Tuple[int, List[str]]] = []
         self._refresh_expected()
         node.add_handler(self._on_message)
 
@@ -188,30 +192,26 @@ class NodeAgent:
         return self.system.topology.endpoint_map.get(flow.dst)
 
     def _refresh_expected(self) -> None:
-        self._expected = []
+        # Grouped by planned arrival: the omission wait is a constant, so
+        # expectations sharing a planned arrival share a check time and
+        # coalesce into one heap event per period. Group order and
+        # within-group order follow the augmented flow order, preserving
+        # the per-expectation execution order (consecutive-seq argument,
+        # see _exec_groups).
+        groups: List[Tuple[int, List[str]]] = []
+        by_arrival: Dict[int, List[str]] = {}
         for flow in self.plan.augmented.flows:
             if self._final_consumer_node(flow) != self.node_id:
                 continue
             arrival = self.plan.planned_arrival(flow.name)
             if arrival is None:
                 continue
-            self._expected.append((flow.name, naming.base_flow(flow.name),
-                                   arrival))
-        # Arrival-grouped view for the batched core: the omission wait is
-        # a constant, so expectations sharing a planned arrival share a
-        # check time and coalesce into one heap event per period. Group
-        # order and within-group order follow self._expected, preserving
-        # the reference execution order (consecutive-seq argument, see
-        # _exec_groups).
-        groups = []
-        by_arrival = {}
-        for flow_copy, _base, arrival in self._expected:
             bucket = by_arrival.get(arrival)
             if bucket is None:
                 bucket = []
                 by_arrival[arrival] = bucket
                 groups.append((arrival, bucket))
-            bucket.append(flow_copy)
+            bucket.append(flow.name)
         self._expected_groups = groups
 
     # ------------------------------------------------------- fault injection
@@ -231,18 +231,7 @@ class NodeAgent:
             return
         period_start = k * self.period
         self._emit_sources(k)
-        if self._batched is not None:
-            self._schedule_exec_groups(k, period_start)
-        else:
-            for instance in self.plan.instances_on(self.node_id):
-                slot = self.plan.schedule.slot_for(instance)
-                if slot is None or instance in self.pending_state:
-                    continue
-                self.sim.call_at(
-                    period_start + slot.finish,
-                    lambda inst=instance, kk=k:
-                        self._execute_instance(inst, kk),
-                )
+        self._schedule_exec_groups(k, period_start)
         self._schedule_omission_checks(k)
         self._schedule_sink_audits(k)
         self._emit_heartbeat(k)
@@ -265,24 +254,13 @@ class NodeAgent:
         # so any other order would reshuffle lane queueing and break the
         # timetable (a small reading queued behind a large one misses its
         # consumer's slot).
-        if self._batched is not None:
-            self._emit_sources_batched(hosted, k)
-            return
-        for flow in self.plan.augmented.flows:
-            if flow.src not in hosted:
-                continue
-            value = sensor_reading(flow.src, k)
-            base = naming.base_flow(flow.name)
-            stmt = self._signed_forward(base, k, value, planned_offset=0)
-            self._send_copy(flow.name, stmt, k)
-
-    def _emit_sources_batched(self, hosted, k: int) -> None:
-        """Batched-core source emission: build every frame's payload in
-        flow order, sign the uncached ones in one authenticator pass
-        (:meth:`AuthenticatedStatement.make_batch` — bit-identical tags,
-        same ``signs`` count as the per-miss reference), then send the
-        copies in the same flow order. Signing schedules nothing, so the
-        two-pass split is trace-identical to sign-then-send per flow."""
+        #
+        # Two passes: build every frame's payload in flow order and sign
+        # the uncached ones in one authenticator pass
+        # (:meth:`AuthenticatedStatement.make_batch` — bit-identical
+        # tags, one ``signs`` count per statement), then send the copies
+        # in the same flow order. Signing schedules nothing, so the split
+        # is trace-identical to sign-then-send per flow.
         emissions = []
         pending_keys = []
         pending_payloads = []
@@ -363,8 +341,8 @@ class NodeAgent:
         return groups
 
     def _schedule_exec_groups(self, k: int, period_start: int) -> None:
-        """Batched-core variant of the per-instance execution timers:
-        one heap event per distinct slot finish time."""
+        """Per-instance execution timers, one heap event per distinct
+        slot finish time."""
         pending = self.pending_state
         for finish, instances in self._exec_groups():
             if pending:
@@ -386,7 +364,7 @@ class NodeAgent:
 
     def _execute_group(self, instances, k: int) -> None:
         # One heap pop stands for len(instances) scheduled executions;
-        # keep the events-executed gauge identical to the reference.
+        # the events-executed gauge counts each of them.
         self.sim.events_executed += len(instances) - 1
         for instance in instances:
             self._execute_instance(instance, k)
@@ -729,40 +707,31 @@ class NodeAgent:
         route = self.plan.routes.get(flow_copy)
         if not route:
             return
-        if self._fastpath:
-            # (flow, final consumer) are pure functions of the immutable
-            # plan + static topology; memoised on the plan object like
-            # the timing-window lookups (see detector.timing).
-            memo = self.plan.__dict__.get("_send_copy_memo")
-            if memo is None:
-                memo = {}
-                self.plan.__dict__["_send_copy_memo"] = memo
-            entry = memo.get(flow_copy)
-            if entry is None:
-                flow = next((f for f in self.plan.augmented.flows
-                             if f.name == flow_copy), None)
-                final = (self._final_consumer_node(flow)
-                         if flow is not None else None)
-                entry = (flow, final)
-                memo[flow_copy] = entry
-            flow, final = entry
-            if flow is None or final is None:
-                return
-        else:
+        # (flow, final consumer) are pure functions of the immutable
+        # plan + static topology; memoised on the plan object like the
+        # timing-window lookups (see detector.timing).
+        memo = self.plan.__dict__.get("_send_copy_memo")
+        if memo is None:
+            memo = {}
+            self.plan.__dict__["_send_copy_memo"] = memo
+        entry = memo.get(flow_copy)
+        if entry is None:
             flow = next((f for f in self.plan.augmented.flows
                          if f.name == flow_copy), None)
-            if flow is None:
-                return
-            final = self._final_consumer_node(flow)
-            if final is None:
-                return
+            final = (self._final_consumer_node(flow)
+                     if flow is not None else None)
+            entry = (flow, final)
+            memo[flow_copy] = entry
+        flow, final = entry
+        if flow is None or final is None:
+            return
         if self.behavior.drops_message(flow_copy, k, final):
             return
-        if self._batched is not None and final != self.node_id:
-            # Pooled on the transmit path: the fast delivery/drop paths
+        if final != self.node_id:
+            # Pooled on the transmit path: the delivery/drop paths
             # release the message once its journey ends. Local deliveries
             # keep a plain Message (nothing releases them).
-            message = self._batched.pool.acquire(
+            message = self._batch.pool.acquire(
                 self.node_id, final, MessageKind.DATA,
                 ("data", flow_copy, k, stmt), flow.size_bits,
                 flow=flow_copy,
@@ -779,8 +748,7 @@ class NodeAgent:
                                 lambda: self.node.deliver(message,
                                                           self.sim.now))
             return
-        next_hop = (self._next_hop_cached(flow_copy) if self._fastpath
-                    else self.plan.next_hop(flow_copy, self.node_id))
+        next_hop = self._next_hop_cached(flow_copy)
         if next_hop is None:
             return
         if delay > 0:
@@ -811,8 +779,7 @@ class NodeAgent:
         _, flow_copy, k, _stmt = message.payload
         if self.behavior.drops_message(flow_copy, k, message.dst):
             return
-        next_hop = (self._next_hop_cached(flow_copy) if self._fastpath
-                    else self.plan.next_hop(flow_copy, self.node_id))
+        next_hop = self._next_hop_cached(flow_copy)
         if next_hop is None:
             return
         delay = self.behavior.delay_send(flow_copy, k)
@@ -822,16 +789,6 @@ class NodeAgent:
                                                     message))
         else:
             self.system.transmit(self.node_id, next_hop, message)
-
-    def _signed_forward(self, flow_base: str, k: int, value: int,
-                        planned_offset: int) -> AuthenticatedStatement:
-        actual_offset = self._local_offset(k)
-        payload = build_forward_statement(
-            flow=flow_base, period=k, value=value,
-            send_offset=self.behavior.claimed_send_offset(
-                actual_offset, planned_offset),
-        )
-        return self._sign_cached(flow_base, k, payload)
 
     # ------------------------------------------------------------ deliveries
 
@@ -880,7 +837,7 @@ class NodeAgent:
             return
         verdict = self.config.timing.judge(
             self.plan, stmt.statement.get("flow", flow_copy), flow_copy,
-            offset, arrival_offset, fast=self._fastpath,
+            offset, arrival_offset,
         )
         if verdict in (SELF_INCRIMINATING, SUSPICIOUS_ARRIVAL):
             # Wrong slot within the period: real, but only provable
@@ -914,24 +871,16 @@ class NodeAgent:
         period_start = k * self.period
         wait = (self.config.timing.arrival_slack_us
                 + self.config.omission_grace_us)
-        if self._batched is not None:
-            for arrival, copies in self._expected_groups:
-                if len(copies) == 1:
-                    self.sim.call_at(
-                        period_start + arrival + wait,
-                        lambda c=copies[0], kk=k:
-                            self._check_arrival(c, kk))
-                else:
-                    self.sim.call_at(
-                        period_start + arrival + wait,
-                        lambda cs=copies, kk=k:
-                            self._check_arrival_group(cs, kk))
-            return
-        for flow_copy, _base, arrival in self._expected:
-            self.sim.call_at(
-                period_start + arrival + wait,
-                lambda c=flow_copy, kk=k: self._check_arrival(c, kk),
-            )
+        for arrival, copies in self._expected_groups:
+            if len(copies) == 1:
+                self.sim.call_at(
+                    period_start + arrival + wait,
+                    lambda c=copies[0], kk=k: self._check_arrival(c, kk))
+            else:
+                self.sim.call_at(
+                    period_start + arrival + wait,
+                    lambda cs=copies, kk=k:
+                        self._check_arrival_group(cs, kk))
 
     def _check_arrival_group(self, copies, k: int) -> None:
         # One heap pop stands for len(copies) scheduled checks.
@@ -1164,20 +1113,8 @@ class NodeAgent:
         # record is signed and immutable, so receivers can safely alias
         # it, and N neighbours cost one tuple build instead of N.
         envelope = payload + (endorsement,)
-        if self._batched is not None:
-            self._batched.flood_messages(self, MessageKind.EVIDENCE,
-                                         envelope, bits, exclude)
-            return
-        neighbors = (self._neighbors if self._fastpath
-                     else self.system.topology.neighbors(self.node_id))
-        for neighbor in neighbors:
-            if neighbor == exclude:
-                continue
-            message = Message(
-                src=self.node_id, dst=neighbor, kind=MessageKind.EVIDENCE,
-                payload=envelope, size_bits=bits,
-            )
-            self.system.transmit(self.node_id, neighbor, message)
+        self._batch.flood_messages(self, MessageKind.EVIDENCE, envelope,
+                                   bits, exclude)
 
     def _on_evidence_message(self, message: Message) -> None:
         payload = message.payload
@@ -1185,8 +1122,8 @@ class NodeAgent:
             return  # unendorsed records cost nothing: dropped outright
         tag, record, endorsement = payload
         # Hoisted: the deferred verification callbacks below must not
-        # capture the message object — pooled messages (batched core) are
-        # recycled as soon as delivery dispatch returns.
+        # capture the message object — pooled messages are recycled as
+        # soon as delivery dispatch returns.
         src = message.src
         # §4.3: nodes endorse what they distribute. The endorsement must
         # be by the forwarding hop itself; anything else is dropped before
@@ -1304,25 +1241,9 @@ class NodeAgent:
             self._last_heartbeat[origin] = self.sim.now
         if self.node.crashed:
             return
-        if self._batched is not None:
-            # Vectorised fan-out: one heap event per distinct arrival
-            # time, no Message objects for standard receivers.
-            self._batched.flood_heartbeat(self, origin, k, exclude)
-            return
-        neighbors = (self._neighbors if self._fastpath
-                     else self.system.topology.neighbors(self.node_id))
-        # Hoisted out of the loop: the payload tuple is immutable and
-        # identical for every copy, and transmit is rebound per run.
-        payload = ("heartbeat", origin, k)
-        transmit = self.system.transmit
-        me = self.node_id
-        for neighbor in neighbors:
-            if neighbor == exclude:
-                continue
-            transmit(me, neighbor, Message(
-                src=me, dst=neighbor, kind=MessageKind.CONTROL,
-                payload=payload, size_bits=128,
-            ))
+        # Vectorised fan-out: one heap event per distinct arrival time,
+        # no Message objects for standard receivers.
+        self._batch.flood_heartbeat(self, origin, k, exclude)
 
     # ----------------------------------------------------------- control
 

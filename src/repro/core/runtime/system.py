@@ -120,10 +120,7 @@ class BTRSystem:
                                                  workload.sinks)
         self.router = Router(topology)
         self.lane_model = LaneModel(topology, self.config.lanes)
-        self.directory = KeyDirectory(
-            master_seed=self.config.seed,
-            verify_memo=self.config.runtime_fastpath,
-        )
+        self.directory = KeyDirectory(master_seed=self.config.seed)
         for node_id in topology.nodes:
             self.directory.register(node_id)
         self.strategy: Optional[Strategy] = None
@@ -136,17 +133,17 @@ class BTRSystem:
         #: Filled by prepare(): how the strategy was obtained (cache hit,
         #: plans computed vs memoised, worker count, wall time).
         self.plan_stats = None
-        #: Fast-path (sender, receiver, kind) -> (link, lane, node) memo.
-        #: Topology is static within a run (link scripts only mutate loss
-        #: rates), but lane objects are rebuilt by lane_model.install(),
-        #: so run() clears this cache. Filled lazily by _transmit_fast().
+        #: (sender, receiver, kind) -> (link, lane, node) memo. Topology
+        #: is static within a run (link scripts only mutate loss rates),
+        #: but lane objects are rebuilt by lane_model.install(), so run()
+        #: clears this cache. Filled lazily by transmit().
         self._edge_cache: Dict[tuple, tuple] = {}
-        #: Batched event core (:mod:`repro.perf.batchcore`), constructed
-        #: on first run() when ``config.batched_core`` is set. Kept
-        #: across runs so batch-event and message free lists stay warm.
+        #: The batched emitters (:mod:`repro.perf.batchcore`), built on
+        #: first run() and kept across runs so batch-event and message
+        #: free lists stay warm.
         self.batch_runtime = None
-        #: The run's message pool (batched core only, else None); the
-        #: fast delivery/drop paths release pooled messages through it.
+        #: The message pool of the batched emitters; the delivery/drop
+        #: paths release pooled messages through it.
         self._msg_pool = None
         # Per-run state:
         self.sim: Optional[Simulator] = None
@@ -324,33 +321,13 @@ class BTRSystem:
         period = self.workload.period
         duration = n_periods * period
 
-        if self.config.sharded_core:
-            # Imported lazily like the other perf layers: flat runs must
-            # not pay for the sharded executor.
-            from ...perf.shardcore import (
-                ShardedSimulator,
-                guarded_delivery_hook,
-                plan_shards,
-            )
-            plan = plan_shards(self.topology, self.config.shards)
-            self.sim = ShardedSimulator(seed=self.config.seed,
-                                        node_shard=plan.node_shard,
-                                        shard_count=plan.shard_count,
-                                        lookahead_us=plan.lookahead_us)
-            if delivery_hook is not None:
-                # Hooks compose exactly with sharded execution as long
-                # as they honour the may-only-delay contract; enforce it
-                # at the offending call instead of diverging silently.
-                delivery_hook = guarded_delivery_hook(delivery_hook)
-        else:
-            self.sim = Simulator(seed=self.config.seed,
-                                 fast_heap=self.config.runtime_fastpath)
+        self.sim = Simulator(seed=self.config.seed)
         self.sim.delivery_hook = delivery_hook
         self.trace = Trace(mode=self.config.trace_mode)
         self.directory.begin_run()
         # Per-hop message events always share a fate across modes (full
-        # retains all three, the reduced modes none), so transmit() keys
-        # off one flag and counts locally instead of allocating.
+        # retains all three, the reduced modes none), so the emitters key
+        # off one flag and count locally instead of allocating.
         self._hops_retained = (self.trace.retains(MessageSent)
                                and self.trace.retains(MessageDelivered)
                                and self.trace.retains(MessageDropped))
@@ -360,10 +337,6 @@ class BTRSystem:
         # lane_model.install() below replaces every Lane object, so cached
         # (link, lane, node) entries from a previous run are stale.
         self._edge_cache.clear()
-        # Bind the per-message entry point once instead of branching on
-        # the config per hop (transmit() documents this).
-        self.transmit = (self._transmit_fast if self.config.runtime_fastpath
-                         else self._transmit_legacy)
         clock_rng = self.sim.rng.fork("clocks")
         for node_id, node in sorted(self.topology.nodes.items()):
             node.reset()
@@ -375,37 +348,26 @@ class BTRSystem:
             link.reset()
         self.lane_model.install()
 
-        if self.config.batched_core:
-            if self.batch_runtime is None:
-                from ...perf.batchcore import BatchRuntime
-                self.batch_runtime = BatchRuntime(self)
-            self._msg_pool = self.batch_runtime.pool
-        else:
-            self.batch_runtime = None
-            self._msg_pool = None
-        # Prototype-based HMAC is gated on the batched core so the
-        # reference benchmark column keeps the legacy per-call cost
-        # (tags are bit-identical either way).
-        self.directory.hot_protos = bool(self.config.batched_core)
+        if self.batch_runtime is None:
+            # Imported lazily, so that importing the package does not
+            # load the perf layer.
+            from ...perf.batchcore import BatchRuntime
+            self.batch_runtime = BatchRuntime(self)
+        self._msg_pool = self.batch_runtime.pool
 
         self.agents = {
             node_id: NodeAgent(self, node)
             for node_id, node in sorted(self.topology.nodes.items())
         }
-        if self.batch_runtime is not None:
-            # Handlers are registered in agent __init__, so the
-            # heartbeat dispatch shortcuts are resolvable now.
-            self.batch_runtime.begin_run(self.agents)
+        # Handlers are registered in agent __init__, so the heartbeat
+        # dispatch shortcuts are resolvable now.
+        self.batch_runtime.begin_run(self.agents)
         self._install_clock_sync()
 
         script = self._resolve_script(adversary)
         for injection in script:
             agent = self.agents[injection.node]
-            # Routed to the node's own heap shard so the behaviour
-            # installation (and everything it schedules) stays region-
-            # local; the base engine ignores the shard argument.
-            self.sim.call_at_in(
-                self.sim.shard_of(injection.node),
+            self.sim.call_at(
                 injection.time,
                 lambda a=agent, b=injection.behavior: a.compromise(b),
             )
@@ -423,17 +385,13 @@ class BTRSystem:
 
             self.sim.call_at(at, degrade)
 
-        if self.sim.n_shards > 1:
-            self._start_sharded_ticks(n_periods, period)
-        else:
-            def tick(k: int) -> None:
-                for node_id in sorted(self.agents):
-                    self.agents[node_id].on_period_start(k)
-                if k + 1 < n_periods:
-                    self.sim.call_at((k + 1) * period,
-                                     lambda: tick(k + 1))
+        def tick(k: int) -> None:
+            for node_id in sorted(self.agents):
+                self.agents[node_id].on_period_start(k)
+            if k + 1 < n_periods:
+                self.sim.call_at((k + 1) * period, lambda: tick(k + 1))
 
-            self.sim.call_at(0, lambda: tick(0))
+        self.sim.call_at(0, lambda: tick(0))
         try:
             self.sim.run_until(duration)
         finally:
@@ -470,23 +428,13 @@ class BTRSystem:
         self.metrics.set_gauge("sim_events_executed",
                                self.sim.events_executed)
         self.metrics.set_gauge("trace_events", len(self.trace))
-        if self.config.sharded_core:
-            self.metrics.set_gauge("shards", self.sim.n_shards)
-            self.metrics.set_gauge("shard_lookahead_us",
-                                   self.sim.lookahead_us)
-            self.metrics.set_gauge("shard_windows",
-                                   self.sim.shard_windows)
-            self.metrics.set_gauge("cross_shard_events",
-                                   self.sim.cross_shard_events)
         self.metrics.inc("crypto_hmac", value=self.directory.signs,
                          op="sign")
         self.metrics.inc("crypto_hmac", value=self.directory.verifies,
                          op="verify")
         memo = self.directory.verify_memo
-        if memo is not None:
-            self.metrics.inc("verify_memo", value=memo.hits, result="hit")
-            self.metrics.inc("verify_memo", value=memo.misses,
-                             result="miss")
+        self.metrics.inc("verify_memo", value=memo.hits, result="hit")
+        self.metrics.inc("verify_memo", value=memo.misses, result="miss")
         return RunResult(
             trace=self.trace,
             config=self.config,
@@ -502,49 +450,6 @@ class BTRSystem:
             excused_flows=excused,
             metrics=self.metrics.snapshot(),
         )
-
-    def _start_sharded_ticks(self, n_periods: int, period: int) -> None:
-        """Per-shard period ticks (sharded core only).
-
-        The reference run drives each period with *one* tick event that
-        iterates every agent in sorted order; here each heap shard gets
-        its own tick over its agent block so per-period timer traffic
-        lands in its own region's heap. Byte-identity is preserved by
-        three properties. First, shard agent blocks are contiguous runs
-        of the global sorted order (plan_shards guarantees it), so
-        running the shard ticks in shard order visits agents in exactly
-        the reference order. Second, each period's shard ticks are
-        scheduled back-to-back (consecutive seqs at one time — no other
-        event's key can fall between them), so they execute as one
-        uninterrupted block exactly where the reference tick would.
-        Third, the *last* shard's tick schedules all of the next
-        period's ticks — the same point in the event-issue order where
-        the reference schedules its single successor — so every later
-        (time, seq) tie breaks as the single-loop reference breaks it.
-        The n-1 extra heap events per period are debited from
-        ``events_executed``, keeping the gauge equal to the reference
-        (the mirror image of batchcore's batch credit).
-        """
-        sim = self.sim
-        n_shards = sim.n_shards
-        blocks: List[list] = [[] for _ in range(n_shards)]
-        for node_id in sorted(self.agents):
-            blocks[sim.shard_of(node_id)].append(self.agents[node_id])
-        last = n_shards - 1
-
-        def tick(shard: int, k: int) -> None:
-            if shard:
-                sim.events_executed -= 1
-            for agent in blocks[shard]:
-                agent.on_period_start(k)
-            if shard == last and k + 1 < n_periods:
-                at = (k + 1) * period
-                for s in range(n_shards):
-                    sim.call_at_in(s, at,
-                                   lambda s=s, kk=k + 1: tick(s, kk))
-
-        for s in range(n_shards):
-            sim.call_at_in(s, 0, lambda s=s: tick(s, 0))
 
     def _install_clock_sync(self) -> None:
         """Periodic clock synchronization (the paper's synchrony
@@ -588,66 +493,10 @@ class BTRSystem:
     def transmit(self, sender: str, receiver: str, message: Message) -> None:
         """One-hop transmission on the shared substrate, with tracing.
 
-        run() rebinds this name on the instance to either
-        :meth:`_transmit_legacy` or :meth:`_transmit_fast`, so the hot
-        path pays no per-message dispatch; this method only serves calls
-        made before the first run().
-        """
-        if self.config.runtime_fastpath:
-            self._transmit_fast(sender, receiver, message)
-            return
-        self._transmit_legacy(sender, receiver, message)
-
-    def _transmit_legacy(self, sender: str, receiver: str,
-                         message: Message) -> None:
-        link = self.topology.nodes[sender].link_to(receiver)
-        if link is None:
-            return
-        trace = self.trace
-        retained = self._hops_retained
-        if retained:
-            trace.record(MessageSent(
-                time=self.sim.now, src=sender, dst=receiver,
-                kind=message.kind.value, size_bits=message.size_bits,
-                flow=message.flow,
-            ))
-        else:
-            self._tally_sent += 1
-
-        def deliver(msg: Message, at: int) -> None:
-            if retained:
-                trace.record(MessageDelivered(
-                    time=at, src=sender, dst=receiver, kind=msg.kind.value,
-                    flow=msg.flow,
-                ))
-            else:
-                self._tally_delivered += 1
-            self.topology.nodes[receiver].deliver(msg, at)
-
-        def dropped(msg: Message) -> None:
-            if retained:
-                trace.record(MessageDropped(
-                    time=self.sim.now, src=sender, dst=receiver,
-                    kind=msg.kind.value, reason="link_loss",
-                ))
-            else:
-                self._tally_dropped += 1
-            self.metrics.inc("messages_dropped", reason="link_loss")
-
-        link.transmit(self.sim, message, sender, receiver, deliver,
-                      on_drop=dropped)
-
-    def _transmit_fast(self, sender: str, receiver: str,
-                       message: Message) -> None:
-        """Inlined transmit for the runtime fast path.
-
-        Behaviour-identical to the legacy path above — same lane math,
-        same RNG consumption (one draw iff the link is lossy), exactly
-        one scheduled event per hop in the same (time, seq) order — but
-        with the per-message link/lane lookup memoised per edge and the
-        per-hop closure allocations replaced by two bound-method partials.
-        Byte-identity of full-mode traces is asserted by E17 and the
-        determinism tests.
+        The lane math, RNG consumption (one draw iff the link is lossy)
+        and delivery hook are :meth:`repro.sim.link.Link.transmit`'s,
+        inlined: the per-message link/lane lookup is memoised per edge,
+        and each hop schedules exactly one bound-method partial.
         """
         # kind._value_ (a str) rather than the enum member: tuple hashing
         # then stays entirely at C level instead of calling Enum.__hash__
@@ -659,14 +508,10 @@ class BTRSystem:
             link = self.topology.nodes[sender].link_to(receiver)
             if link is None:
                 return
-            # The receiver's heap shard rides in the memo so the sharded
-            # core routes each delivery without a per-hop dict lookup
-            # (always 0 on the single-heap engine).
             entry = (link, link.lane_for(sender, message.kind),
-                     self.topology.nodes[receiver],
-                     self.sim.shard_of(receiver))
+                     self.topology.nodes[receiver])
             self._edge_cache[key] = entry
-        link, lane, node, shard = entry
+        link, lane, node = entry
         sim = self.sim
         # Per-hop events dominate trace volume; in milestone/counts modes
         # skip the dataclass allocation entirely and count locally (the
@@ -696,14 +541,14 @@ class BTRSystem:
         # hooks may only delay) — the engine re-checks the latter.
         if link.loss_probability > 0.0 \
                 and sim.rng.random() < link.loss_probability:
-            sim.schedule_to(shard, arrival, partial(  # lint: ignore[engine-schedule-bypass]
-                self._dropped_fast, sender, receiver, message))
+            sim.schedule(arrival, partial(  # lint: ignore[engine-schedule-bypass]
+                self._dropped, sender, receiver, message))
             return
-        sim.schedule_to(shard, arrival, partial(  # lint: ignore[engine-schedule-bypass]
-            self._deliver_fast, node, sender, receiver, message, arrival))
+        sim.schedule(arrival, partial(  # lint: ignore[engine-schedule-bypass]
+            self._deliver, node, sender, receiver, message, arrival))
 
-    def _deliver_fast(self, node, sender: str, receiver: str,
-                      message: Message, arrival: int) -> None:
+    def _deliver(self, node, sender: str, receiver: str,
+                 message: Message, arrival: int) -> None:
         if self._hops_retained:
             self.trace.record(MessageDelivered(
                 time=arrival, src=sender, dst=receiver,
@@ -717,15 +562,14 @@ class BTRSystem:
         if not node.crashed:
             for handler in node._handlers:
                 handler(message, arrival)
-        # Pooled messages (batched core) are recycled once they reach
-        # their *final* destination; an intermediate hop leaves the
-        # message alive for the forwarding re-transmit.
-        pool = self._msg_pool
-        if pool is not None and message.dst == receiver:
-            pool.release(message)
+        # Messages are recycled once they reach their *final*
+        # destination; an intermediate hop leaves the message alive for
+        # the forwarding re-transmit.
+        if message.dst == receiver:
+            self._msg_pool.release(message)
 
-    def _dropped_fast(self, sender: str, receiver: str,
-                      message: Message) -> None:
+    def _dropped(self, sender: str, receiver: str,
+                 message: Message) -> None:
         if self._hops_retained:
             self.trace.record(MessageDropped(
                 time=self.sim.now, src=sender, dst=receiver,
@@ -736,9 +580,7 @@ class BTRSystem:
         self.metrics.inc("messages_dropped", reason="link_loss")
         # A dropped frame ends the message's journey at this hop; pooled
         # messages are recycled immediately (nothing retains them).
-        pool = self._msg_pool
-        if pool is not None:
-            pool.release(message)
+        self._msg_pool.release(message)
 
     def send_routed(self, agent: NodeAgent, message: Message,
                     plan) -> None:

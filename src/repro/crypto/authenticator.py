@@ -55,8 +55,8 @@ class AuthenticatedStatement:
     def make_batch(cls, directory: KeyDirectory, signer: str,
                    statements) -> "list[AuthenticatedStatement]":
         """Sign several statements by one signer in one authenticator
-        pass (:meth:`KeyDirectory.sign_bytes_batch`): the batched core
-        uses this for a source host's per-period sensor frames. The
+        pass (:meth:`KeyDirectory.sign_bytes_batch`): the runtime uses
+        this for a source host's per-period sensor frames. The
         resulting statements are indistinguishable from per-call
         :meth:`make` — same tags, same cached canonical bytes."""
         canonicals = [canonical_bytes(s) for s in statements]

@@ -68,36 +68,31 @@ class KeyDirectory:
     running *as* node X calls ``sign(X, ...)``.
     """
 
-    def __init__(self, master_seed: int = 0,
-                 verify_memo: bool = False) -> None:
+    def __init__(self, master_seed: int = 0) -> None:
+        # Lazy import: repro.perf.__init__ pulls in the offline planner
+        # stack, which would be a circular import at crypto module load
+        # time.
+        from ..perf.fastpath import VerifyMemo
+
         self._master_seed = master_seed
         self._keys: Dict[str, bytes] = {}
-        #: Per-signer HMAC prototypes (key schedule pre-applied); a batch
-        #: of N signatures pays the two key-block compressions once and
-        #: N ``copy()+update()`` passes (see :meth:`sign_bytes_batch`).
+        #: Per-signer HMAC prototypes (key schedule pre-applied): every
+        #: sign/verify pays ``copy()+update()`` instead of the two
+        #: key-block compressions (tags are bit-identical to a fresh
+        #: ``hmac.new``; see :meth:`sign_bytes_batch`).
         self._hmac_protos: Dict[str, "hmac.HMAC"] = {}
         #: HMAC computations actually performed (memo hits excluded).
         self.signs = 0
         self.verifies = 0
-        #: When True, single-shot sign/verify also go through the cached
-        #: prototypes (bit-identical tags, one key schedule per signer per
-        #: run instead of per call). Set by the batched core only, so the
-        #: reference benchmark column keeps the legacy per-call cost.
-        self.hot_protos = False
-        self.verify_memo = None
-        if verify_memo:
-            # Lazy import: repro.perf.__init__ pulls in the offline
-            # planner stack, which would be a circular import at crypto
-            # module load time.
-            from ..perf.fastpath import VerifyMemo
-            self.verify_memo = VerifyMemo()
+        #: Positive-only memo of statement verifications (see
+        #: :meth:`verify_statement`).
+        self.verify_memo = VerifyMemo()
 
     def begin_run(self) -> None:
         """Reset per-run state (memo + counters) so runs stay independent."""
         self.signs = 0
         self.verifies = 0
-        if self.verify_memo is not None:
-            self.verify_memo.clear()
+        self.verify_memo.clear()
 
     def register(self, node_id: str) -> None:
         """Provision a key for ``node_id`` (idempotent)."""
@@ -118,17 +113,14 @@ class KeyDirectory:
         return self.sign_bytes(signer, canonical_bytes(payload))
 
     def sign_bytes(self, signer: str, canonical: bytes) -> Signature:
-        """Sign an already-canonicalized payload (the fast path)."""
+        """Sign an already-canonicalized payload."""
         key = self._keys.get(signer)
         if key is None:
             raise SignatureError(f"no key registered for {signer!r}")
         self.signs += 1
-        if self.hot_protos:
-            mac = self._proto(signer, key).copy()
-            mac.update(canonical)
-            return Signature(signer=signer, tag=mac.hexdigest())
-        tag = hmac.new(key, canonical, hashlib.sha256)
-        return Signature(signer=signer, tag=tag.hexdigest())
+        mac = self._proto(signer, key).copy()
+        mac.update(canonical)
+        return Signature(signer=signer, tag=mac.hexdigest())
 
     def _proto(self, signer: str, key: bytes) -> "hmac.HMAC":
         proto = self._hmac_protos.get(signer)
@@ -166,35 +158,25 @@ class KeyDirectory:
         return self.verify_bytes(canonical_bytes(payload), signature)
 
     def verify_bytes(self, canonical: bytes, signature: Signature) -> bool:
-        """Verify against an already-canonicalized payload (the fast path)."""
+        """Verify against an already-canonicalized payload."""
         key = self._keys.get(signature.signer)
         if key is None:
             return False
         self.verifies += 1
-        if self.hot_protos:
-            mac = self._proto(signature.signer, key).copy()
-            mac.update(canonical)
-            expected = mac.hexdigest()
-        else:
-            expected = hmac.new(key, canonical, hashlib.sha256).hexdigest()
-        return hmac.compare_digest(expected, signature.tag)
+        mac = self._proto(signature.signer, key).copy()
+        mac.update(canonical)
+        return hmac.compare_digest(mac.hexdigest(), signature.tag)
 
     def verify_statement(self, stmt) -> bool:
-        """Verify an :class:`AuthenticatedStatement`, memoised if enabled.
+        """Verify an :class:`AuthenticatedStatement` through the memo.
 
         The memo key is ``(signer, tag, payload_digest)`` — everything
         the HMAC check depends on — and only *valid* results are stored,
         so a forged signature is recomputed (and rejected) on every call
-        and can never be served as valid from the cache.
-
-        Without the memo this is the legacy runtime: the payload is
-        re-serialized on every verification, exactly as the pre-fastpath
-        code did, so the ``runtime_fastpath=False`` benchmark column is a
-        faithful baseline rather than a half-optimised hybrid.
+        and can never be served as valid from the cache. The statement's
+        cached canonical bytes are verified, never re-serialized.
         """
         memo = self.verify_memo
-        if memo is None:
-            return self.verify(stmt.statement, stmt.signature)
         sig = stmt.signature
         key = (sig.signer, sig.tag, stmt.payload_digest())
         if memo.hit(key):

@@ -119,9 +119,8 @@ class Router:
         """How many WAN (inter-region) links the route traverses.
 
         Zero on flat topologies and for intra-region routes. The geo
-        scenarios and the sharded executor's stats use this to tell
-        region-local traffic (which sharding runs without coordination)
-        from cross-region traffic (which rides the lookahead horizon).
+        scenarios use this to tell region-local traffic from
+        cross-region traffic.
         """
         return sum(
             1 for a, b in self.hops(src, dst, excluding)

@@ -1,4 +1,4 @@
-"""Performance layer: offline planning speed and the online fast path.
+"""Performance layer: offline planning speed and the runtime's hot path.
 
 Nothing in here changes *what* the planner or runtime computes — only
 how fast the artifact is produced and whether work is recomputed at all:
@@ -7,17 +7,14 @@ how fast the artifact is produced and whether work is recomputed at all:
   fault patterns, with optional structural symmetry memoisation;
 * :class:`StrategyCache` / :func:`strategy_cache_key` — content-keyed
   on-disk reuse of finished strategies;
-* :mod:`repro.perf.fastpath` — the online-runtime fast path: the
-  signature :class:`VerifyMemo` (positive-only, deterministic eviction)
-  plus trace fingerprints for byte-identity checks. Kept stdlib-only so
-  the crypto layer can import it without cycles;
-* :mod:`repro.perf.batchcore` — the batched event core: vectorised
-  periodic-traffic fan-outs, pooled messages, coalesced timers, and
-  multi-seed sweep execution (``BTRConfig(batched_core=True)``);
-* :mod:`repro.perf.shardcore` — the region-sharded event core: per-
-  region heaps merged in exact global (time, seq) order with a WAN-
-  lookahead window structure, plus the process-pool multi-seed sweep
-  (``BTRConfig(sharded_core=True, shards=N)``);
+* :mod:`repro.perf.fastpath` — the signature :class:`VerifyMemo`
+  (positive-only, deterministic eviction) plus trace fingerprints for
+  byte-identity checks. Kept stdlib-only so the crypto layer can import
+  it without cycles;
+* :mod:`repro.perf.batchcore` — the runtime's batched emitters:
+  vectorised periodic-traffic fan-outs and pooled messages, plus
+  multi-seed sweep execution in-process (:func:`run_sweep`) and over a
+  process pool (:func:`run_sweep_pool`);
 * :mod:`repro.perf.timing` — the one sanctioned wall-clock module (the
   determinism lint restricts ``repro/perf/`` and exempts only it).
 
@@ -27,10 +24,13 @@ guarantees each piece preserves.
 
 from .batchcore import (
     BatchRuntime,
+    GeoSweepSpec,
     SweepRun,
     run_sweep,
+    run_sweep_pool,
     shared_prepare,
     sibling_system,
+    system_for_spec,
 )
 from .cache import (
     CACHE_ENV_VAR,
@@ -40,17 +40,6 @@ from .cache import (
 )
 from .fastpath import VerifyMemo, online_stats, trace_fingerprint
 from .parallel import PlanningStats, build_strategy_fanout, resolve_jobs
-from .shardcore import (
-    GeoSweepSpec,
-    ShardedSimulator,
-    ShardingError,
-    ShardPlan,
-    guarded_delivery_hook,
-    plan_shards,
-    run_sweep_pool,
-    sharded_simulator,
-    system_for_spec,
-)
 from .symmetry import (
     candidates_symmetric,
     pattern_permutation,
@@ -59,10 +48,13 @@ from .symmetry import (
 
 __all__ = [
     "BatchRuntime",
+    "GeoSweepSpec",
     "SweepRun",
     "run_sweep",
+    "run_sweep_pool",
     "shared_prepare",
     "sibling_system",
+    "system_for_spec",
     "CACHE_ENV_VAR",
     "StrategyCache",
     "default_cache_dir",
@@ -73,15 +65,6 @@ __all__ = [
     "online_stats",
     "resolve_jobs",
     "trace_fingerprint",
-    "GeoSweepSpec",
-    "ShardedSimulator",
-    "ShardingError",
-    "ShardPlan",
-    "guarded_delivery_hook",
-    "plan_shards",
-    "run_sweep_pool",
-    "sharded_simulator",
-    "system_for_spec",
     "candidates_symmetric",
     "pattern_permutation",
     "rename_plan",

@@ -1,25 +1,20 @@
-"""The batched event core: vectorised periodic traffic, pooled messages,
-and multi-seed sweep execution.
+"""The runtime's batched emitters, pooled messages, and multi-seed sweeps.
 
-PR 4's fast path (:mod:`repro.perf.fastpath`) memoised crypto and inlined
-the per-message hot loops; this module removes the *per-message heap
-event* itself for the event classes that dominate steady-state traffic.
-Three mechanisms, gated behind ``BTRConfig(batched_core=True)`` (CLI
-``--batched``) and all behaviour preserving — full-mode traces are
-byte-identical with the batched core on and off (E19 asserts this per
-scenario x seed):
+The runtime (:class:`~repro.core.runtime.system.BTRSystem`) executes on
+one event engine; this module holds the parts of it that remove the
+*per-message heap event* for the traffic that dominates steady state,
+plus the sweep drivers that reuse one prepared system across seeds:
 
 * **fan-out batching** — a heartbeat flood or evidence broadcast emits N
-  single-hop copies whose deliveries are scheduled back-to-back with
-  consecutive sequence numbers. All copies that arrive at the same time
-  are coalesced into ONE heap event (a :class:`_HeartbeatBatch` /
+  single-hop copies whose deliveries would be scheduled back-to-back
+  with consecutive sequence numbers. All copies that arrive at the same
+  time are coalesced into ONE heap event (a :class:`_HeartbeatBatch` /
   :class:`_MessageBatch`) that dispatches the deliveries in emission
   order. This is order-preserving by construction: two coalesced
   entries have equal timestamps and no foreign event can hold a sequence
   number between theirs (the emission loop issues no other schedules),
-  so the (time, seq) total order of *observable* work is unchanged.
-  ``events_executed`` is bumped per logical delivery so the metrics
-  gauge stays comparable with the reference run;
+  so the (time, seq) total order of *observable* work is that of one
+  event per message. ``events_executed`` is bumped per logical delivery;
 
 * **message/event pools** — fan-out and data-plane messages come from a
   :class:`~repro.sim.message.MessagePool` (released when they reach
@@ -33,17 +28,19 @@ scenario x seed):
   memo: routes, send offsets, timing windows), the router's path cache,
   and the derived signing keys (module-level cache in
   :mod:`repro.crypto.signatures`) are shared across seeds instead of
-  being rebuilt per run.
+  being rebuilt per run. :func:`run_sweep_pool` fans a geo sweep's seeds
+  out over worker processes.
 
-The invariant gate is :func:`~repro.perf.fastpath.trace_fingerprint`
-equality between batched and reference runs; see docs/PERFORMANCE.md
-("Batched core") and the E19 benchmark.
+The behaviour is pinned by the golden trace table
+(``tests/golden/traces.json``, see ``tools/golden.py``); see
+docs/PERFORMANCE.md ("Runtime engine") and the E19 benchmark.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..sim.message import Message, MessageKind, MessagePool
 from ..sim.trace import MessageDelivered, MessageDropped, MessageSent
@@ -94,8 +91,8 @@ class _HeartbeatBatch:
         agents = self.agents
         lost = self.lost
         n = len(rids)
-        # One engine pop stands for n logical deliveries; keep the
-        # events-executed gauge identical to the per-message reference.
+        # One engine pop stands for n logical deliveries; the
+        # events-executed gauge counts each of them.
         sim.events_executed += n - 1
         runtime.batches_fired += 1
         runtime.entries_batched += n
@@ -129,14 +126,15 @@ class _HeartbeatBatch:
             if agent is not None:
                 # Inlined seen-check: ~85% of steady-state deliveries are
                 # duplicate copies whose reflood call would return on its
-                # first line (and, per the reference, NOT refresh
-                # _last_heartbeat — only first receipt does that).
+                # first line (and NOT refresh _last_heartbeat — only
+                # first receipt does that).
                 if seen_key in agent._heartbeats_seen:
                     continue
                 agent._flood_heartbeat(origin, k, exclude=sender)
             else:
                 # Non-standard handler chain: dispatch a real message so
-                # observers see exactly what the reference path delivers.
+                # observers see exactly what a per-message transmit
+                # delivers.
                 message = Message(  # lint: ignore[allocation-in-loop]
                     src=sender, dst=rid, kind=MessageKind.CONTROL,
                     payload=("heartbeat", origin, k),
@@ -158,7 +156,7 @@ class _HeartbeatBatch:
 class _MessageBatch:
     """One coalesced heap event delivering same-arrival pooled messages
     (evidence/declaration broadcast fan-out). Dispatch per entry is the
-    inlined ``Node.deliver`` of the fast path; messages are released to
+    inlined ``Node.deliver`` of the transmit path; messages are released to
     the pool once delivered at (or dropped short of) their final
     destination."""
 
@@ -235,10 +233,10 @@ class _MessageBatch:
 
 
 class BatchRuntime:
-    """Per-run state of the batched core, owned by a
-    :class:`~repro.core.runtime.system.BTRSystem` when
-    ``config.batched_core`` is on: the message pool, the batch-event
-    free lists, and the per-node heartbeat dispatch shortcuts."""
+    """Per-run state of the batched emitters, owned by a
+    :class:`~repro.core.runtime.system.BTRSystem`: the message pool, the
+    batch-event free lists, and the per-node heartbeat dispatch
+    shortcuts."""
 
     def __init__(self, system, pool_prealloc: int = 256) -> None:
         self.system = system
@@ -311,7 +309,8 @@ class BatchRuntime:
         """Vectorised heartbeat fan-out: one lane reservation + trace
         entry per receiver, one heap event per distinct arrival time.
         RNG draws (lossy links) and the delivery hook are consulted per
-        receiver in emission order, exactly like the reference loop."""
+        receiver in emission order, exactly like one transmit() per
+        copy."""
         system = self.system
         sim = system.sim
         trace = system.trace
@@ -451,7 +450,7 @@ def sibling_system(prototype, seed: int):
     rebuilt for the new seed (its master seed differs) but shares derived
     keys through the process-wide cache. The sibling's runs are
     byte-identical to a freshly constructed+prepared system on that seed
-    (the batchcore tests and the E19 sweep gate assert this)."""
+    (the batchcore tests and the E19 sweep column assert this)."""
     from ..core.runtime.system import BTRSystem
 
     config = dataclasses.replace(prototype.config, seed=seed)
@@ -475,7 +474,7 @@ def run_sweep(system, seeds, n_periods: int, scenario: Optional[str] = None,
     are seed-relative; alternatively pass ``adversary``/``link_script``
     directly. Returns one :class:`SweepRun` per seed, in order, each with
     the run's trace fingerprint so callers can gate on byte-identity
-    against independently constructed reference runs.
+    against independently constructed systems or the golden table.
     """
     from .timing import Stopwatch
 
@@ -546,3 +545,155 @@ def shared_prepare(system):
     budget = system.prepare()
     _PREPARE_MEMO[key] = (system.strategy, budget, system.switch_lead_us)
     return budget
+
+
+# ------------------------------------------------------------ pool sweep
+
+#: Workload factories a pool worker can rebuild by name (callables do
+#: not cross process boundaries; specs carry names only).
+_WORKLOADS: Dict[str, Callable] = {}
+
+
+def _workload_registry() -> Dict[str, Callable]:
+    if not _WORKLOADS:
+        from ..workload import (
+            automotive_workload,
+            avionics_workload,
+            industrial_workload,
+            pipeline_workload,
+            power_grid_workload,
+        )
+        _WORKLOADS.update({
+            "industrial": industrial_workload,
+            "avionics": avionics_workload,
+            "automotive": automotive_workload,
+            "pipeline": pipeline_workload,
+            "powergrid": power_grid_workload,
+        })
+    return _WORKLOADS
+
+
+@dataclasses.dataclass(frozen=True)
+class GeoSweepSpec:
+    """A picklable recipe for one geo sweep configuration: everything a
+    worker process needs to rebuild the system from scratch (names and
+    numbers only — no callables, no live objects)."""
+
+    workload: str = "industrial"
+    #: Period/deadline stretch factor (see
+    #: :func:`~repro.workload.stretched_workload`): geo WAN latencies
+    #: do not fit inside millisecond CPS deadlines unstretched.
+    stretch: int = 10
+    regions: int = 3
+    nodes_per_region: int = 8
+    wan_latency: int = 5000
+    wan_jitter: int = 0
+    bandwidth: float = 1e8
+    f: int = 1
+    n_periods: int = 12
+    seed: int = 42
+    trace_mode: str = "milestones"
+    cache: Optional[str] = None
+    scenario: Optional[str] = None
+
+
+def system_for_spec(spec: GeoSweepSpec):
+    """Build (unprepared) the system a :class:`GeoSweepSpec` describes.
+
+    Raises ValueError for a workload name the registry does not know.
+    """
+    from ..core.runtime.config import BTRConfig
+    from ..core.runtime.system import BTRSystem
+    from ..net.topology import geo_topology
+
+    try:
+        factory = _workload_registry()[spec.workload]
+    except KeyError:
+        raise ValueError(
+            f"unknown workload {spec.workload!r}; pool sweeps rebuild "
+            f"workloads by name ({sorted(_workload_registry())})"
+        ) from None
+    workload = factory()
+    if spec.stretch > 1:
+        from ..workload import stretched_workload
+        workload = stretched_workload(workload, spec.stretch)
+    topology = geo_topology(spec.regions, spec.nodes_per_region,
+                            wan_latency=spec.wan_latency,
+                            wan_jitter=spec.wan_jitter,
+                            bandwidth=spec.bandwidth)
+    config = BTRConfig(f=spec.f, seed=spec.seed, cache=spec.cache,
+                       trace_mode=spec.trace_mode)
+    return BTRSystem(workload, topology, config)
+
+
+def _sweep_worker(spec: GeoSweepSpec, seeds: Tuple[int, ...]) -> List[dict]:
+    """One worker's share of a pool sweep: rebuild, prepare (on-disk
+    cache hit — the parent warmed it), run, ship back primitives only
+    (RunResult traces are large and stay in the worker)."""
+    spec = dataclasses.replace(spec, seed=seeds[0])
+    system = system_for_spec(spec)
+    shared_prepare(system)
+    runs = run_sweep(system, seeds, spec.n_periods,
+                     scenario=spec.scenario)
+    return [
+        {
+            "seed": run.seed,
+            "fingerprint": run.fingerprint,
+            "wall_s": run.wall_s,
+            "events": run.result.metrics["gauges"]["sim_events_executed"],
+        }
+        for run in runs
+    ]
+
+
+def run_sweep_pool(spec: GeoSweepSpec, seeds, workers: int) -> dict:
+    """Fan a multi-seed geo sweep out over worker processes.
+
+    Seeds are split into ``workers`` contiguous chunks; each worker
+    rebuilds the system from ``spec``, prepares it against the shared
+    on-disk strategy cache (the parent prepares first, so workers hit),
+    and runs its chunk with :func:`run_sweep`. Results come back in the
+    input seed order as primitive dicts (seed, trace fingerprint,
+    wall seconds, events executed) — callers gate byte-identity on the
+    fingerprints exactly as for an in-process sweep. Runs are
+    independent per seed, so this is where a multi-seed sweep gets more
+    than one core.
+
+    If no process pool can be created (restricted sandboxes, missing
+    semaphores) the sweep degrades to in-process execution and reports
+    ``pooled: False`` — same results, no speedup, never a failure.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        return {"runs": [], "workers": 0, "pooled": False}
+    workers = max(1, min(workers, len(seeds)))
+    base, extra = divmod(len(seeds), workers)
+    chunks: List[Tuple[int, ...]] = []
+    start = 0
+    for index in range(workers):
+        size = base + (1 if index < extra else 0)
+        if size:
+            chunks.append(tuple(seeds[start:start + size]))
+        start += size
+    # Warm the on-disk strategy cache once, before any worker starts.
+    if spec.cache:
+        shared_prepare(system_for_spec(spec))
+    pooled = False
+    results: List[List[dict]] = []
+    if len(chunks) > 1:
+        try:
+            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+                futures = [pool.submit(_sweep_worker, spec, chunk)
+                           for chunk in chunks]
+                results = [future.result() for future in futures]
+                pooled = True
+        except (OSError, ValueError, ImportError):
+            results = []
+    if not results:
+        results = [_sweep_worker(spec, chunk) for chunk in chunks]
+    by_seed = {row["seed"]: row for rows in results for row in rows}
+    return {
+        "runs": [by_seed[seed] for seed in seeds],
+        "workers": len(chunks),
+        "pooled": pooled,
+    }

@@ -1,12 +1,9 @@
-"""Online-runtime fast path: verify memoisation + trace fingerprints.
+"""Online-runtime crypto memo + trace fingerprints.
 
-PR 2 attacked *offline* planning cost; this module attacks the *online*
-simulation hot path, the way real BFT implementations do — PBFT batches
-authenticators and Zyzzyva's speculative path exists precisely to avoid
-redundant per-receiver crypto work. Three mechanisms, all gated behind
-``BTRConfig(runtime_fastpath=...)`` (default on) and all **behaviour
-preserving** — the full-mode trace is byte-identical with the fast path
-enabled and disabled (E17 asserts this for every benchmarked scenario):
+The runtime's crypto work follows what real BFT implementations do —
+PBFT batches authenticators and Zyzzyva's speculative path exists
+precisely to avoid redundant per-receiver crypto work. Three mechanisms,
+none of which changes a trace byte (the golden trace table pins this):
 
 * statement canonicalization caching — each
   :class:`~repro.crypto.authenticator.AuthenticatedStatement` serializes
@@ -128,13 +125,21 @@ class VerifyMemo:
 def trace_fingerprint(events: Iterable) -> str:
     """A content hash of a trace (or any iterable of trace events).
 
-    The E17 benchmark and the determinism property tests compare runs by
-    this fingerprint: dataclass ``repr`` covers every field, and the
-    events iterate in record order, so two traces fingerprint equal iff
-    they are event-for-event, field-for-field identical.
+    The golden trace table (``tests/golden/traces.json``) and the
+    determinism tests compare runs by this fingerprint: dataclass
+    ``repr`` covers every field, and the events iterate in record order,
+    so two traces fingerprint equal iff they are event-for-event,
+    field-for-field identical.
 
-    Only valid *within* one process: event reprs may embed values whose
-    rendering depends on interpreter state across processes.
+    Trace fields are strings, integers, tuples, ``None`` and
+    insertion-ordered dicts — nothing whose rendering depends on the
+    per-process string-hash salt (evidence ids are ``zlib.crc32``
+    digests, and the ``builtin-hash`` lint rule keeps ``hash()`` out of
+    the package). So the fingerprint is the same across processes and
+    ``PYTHONHASHSEED`` values: the ``geo:3x4`` rehearsal fingerprints
+    ``8a240a2c…`` under hash seeds 0 and 1, and the tier-1 suite and CI
+    rerun the golden table under both. Equality across Python versions
+    is left to the CI matrix (3.10 and 3.12) to decide.
     """
     h = hashlib.sha256()
     for event in events:
@@ -148,13 +153,12 @@ def online_stats(system) -> Dict[str, object]:
 
     Returns sign/verify HMAC counts from the system's
     :class:`~repro.crypto.signatures.KeyDirectory` plus the verify-memo
-    stats (empty stats when the fast path is disabled). The E17 benchmark
-    records these per scenario into ``sim_stats.jsonl``.
+    stats. The E19 benchmark records these per case into
+    ``sim_stats.jsonl``.
     """
     directory = system.directory
-    memo = directory.verify_memo
     return {
         "signs": directory.signs,
         "verifies": directory.verifies,
-        "memo": memo.stats() if memo is not None else None,
+        "memo": directory.verify_memo.stats(),
     }

@@ -81,10 +81,8 @@ class Link:
         #: Region tag for intra-region links (geo topologies); None for
         #: flat deployments and for inter-region (WAN) links.
         self.region = region
-        #: True for inter-region links. The sharded executor's
-        #: conservative lookahead is the minimum propagation delay over
-        #: these links, so their latency must dominate the intra-region
-        #: delays for sharding to win (the geo builder enforces that).
+        #: True for inter-region links; their latency dominates the
+        #: intra-region delays (the geo builder enforces that).
         self.is_wan = is_wan
         self._lanes: Dict[Tuple[str, MessageKind], Lane] = {}
         self._allocated = 0.0
@@ -141,8 +139,8 @@ class Link:
         """The reserved lane for ``(sender, kind)``.
 
         Same error contract as :meth:`transmit`; exposed so the runtime
-        fast path can resolve the lane once per edge and inline the
-        serialization math instead of re-looking it up per message.
+        can resolve the lane once per edge and inline the serialization
+        math instead of re-looking it up per message.
         """
         lane = self._lanes.get((sender, kind))
         if lane is None:

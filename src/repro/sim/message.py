@@ -73,7 +73,7 @@ class Message:
 class MessagePool:
     """Free-list recycling of :class:`Message` objects for the hot path.
 
-    The batched core (:mod:`repro.perf.batchcore`) routes single-hop
+    The batched emitters (:mod:`repro.perf.batchcore`) route single-hop
     fan-out traffic and data-plane sends through one of these per run:
     ``acquire`` reuses a released instance when one is available (fresh
     ``msg_id``, all fields overwritten) and falls back to normal

@@ -82,7 +82,7 @@ class Node:
         self.node_id = node_id
         self.speed = speed
         #: Geographic region tag (geo topologies); None for flat
-        #: deployments. The sharded executor partitions by this.
+        #: deployments.
         self.region = region
         self.clock = clock or LocalClock()
         self.is_source = is_source

@@ -1,15 +1,16 @@
-"""Batched event core: identical behaviour, fewer heap events.
+"""The batched emitters: same behaviour, fewer heap events.
 
-The batched core (``repro.perf.batchcore``, gated behind
-``BTRConfig(batched_core=True)``) promises the same run, byte for byte,
-for less engine work. These tests pin that promise from four sides —
+The runtime's batched emitters (``repro.perf.batchcore``) coalesce
+fan-out deliveries into one heap event per (sender, arrival) group.
+These tests pin what that must not change, from four sides —
 
-* byte-identity: batched on/off produce the same full-mode trace
-  fingerprint, the same ``events_executed`` gauge, the same recovery
-  verdict, across scenarios and seeds — while the batch machinery
-  demonstrably engages (fewer heap pops than logical deliveries);
+* dispatch: the heartbeat shortcut (no Message objects for standard
+  receivers) and the generic handler-chain dispatch produce the same
+  full trace and ``events_executed`` gauge, across scenarios and seeds,
+  while the batch machinery demonstrably engages (fewer heap pops than
+  logical deliveries);
 * trace modes: the reduced modes keep the census and the milestone
-  subsequence exactly as the reference run records them;
+  subsequence exactly as the full trace records them;
 * message pools: exhaustion grows the pool (never fails), growth is
   visible in the counters, recycling actually happens, and a warm pool
   carries across runs of one system — all without perturbing the trace;
@@ -17,6 +18,9 @@ for less engine work. These tests pin that promise from four sides —
   plans is byte-identical to freshly constructed+prepared systems per
   seed, and :func:`shared_prepare` hands the *same* strategy object to
   identically-configured systems without re-planning.
+
+The absolute behaviour is pinned by the golden trace table
+(``tests/test_golden_traces.py``).
 """
 
 import pytest
@@ -33,21 +37,20 @@ from repro.workload import industrial_workload
 N_PERIODS = 12
 
 
-def build_system(seed: int, batched: bool, mode: str = "full",
-                 f: int = 1, n_nodes: int = 7) -> BTRSystem:
+def build_system(seed: int, mode: str = "full", f: int = 1,
+                 n_nodes: int = 7) -> BTRSystem:
     system = BTRSystem(
         industrial_workload(),
         full_mesh_topology(n_nodes, bandwidth=1e8),
-        BTRConfig(f=f, seed=seed, runtime_fastpath=True,
-                  trace_mode=mode, batched_core=batched),
+        BTRConfig(f=f, seed=seed, trace_mode=mode),
     )
     system.prepare()
     return system
 
 
-def run_scenario(seed: int, batched: bool, mode: str = "full",
+def run_scenario(seed: int, mode: str = "full",
                  scenario: str = "single_commission", f: int = 1):
-    system = build_system(seed, batched, mode, f=f)
+    system = build_system(seed, mode, f=f)
     scn = stage(scenario, system)
     result = system.run(N_PERIODS, adversary=scn.script,
                         link_script=scn.link_script)
@@ -59,7 +62,7 @@ def milestone_reprs(trace) -> list:
 
 
 class TestByteIdentity:
-    """Full traces are byte-identical with the batched core on and off."""
+    """The heartbeat shortcut and the generic dispatch agree."""
 
     @pytest.mark.parametrize("scenario,f", [
         ("single_commission", 1),
@@ -67,37 +70,53 @@ class TestByteIdentity:
         ("flood_plus_fault", 2),
     ])
     @pytest.mark.parametrize("seed", [42, 43])
-    def test_full_trace_fingerprints_agree(self, scenario, f, seed):
-        ref_sys, ref = run_scenario(seed, batched=False,
-                                    scenario=scenario, f=f)
-        bat_sys, bat = run_scenario(seed, batched=True,
-                                    scenario=scenario, f=f)
-        assert (trace_fingerprint(bat.trace)
-                == trace_fingerprint(ref.trace))
-        # The engine gauge counts *logical* deliveries, so it matches the
-        # per-message reference even though the heap popped fewer events.
-        assert bat_sys.sim.events_executed == ref_sys.sim.events_executed
-        assert bat.final_modes == ref.final_modes
+    def test_full_trace_fingerprints_agree(self, monkeypatch, scenario, f,
+                                           seed):
+        short_sys, short = run_scenario(seed, scenario=scenario, f=f)
+        assert all(short_sys.batch_runtime.hb_shortcut.values())
+
+        # An observer handler on every node takes each receiver off the
+        # heartbeat shortcut: batches then dispatch real messages
+        # through the handler chain.
+        observed = []
+        begin_run = BatchRuntime.begin_run
+
+        def observing_begin_run(runtime, agents):
+            for agent in agents.values():
+                agent.node.add_handler(
+                    lambda message, at: observed.append(at))
+            begin_run(runtime, agents)
+
+        monkeypatch.setattr(BatchRuntime, "begin_run", observing_begin_run)
+        gen_sys, gen = run_scenario(seed, scenario=scenario, f=f)
+        assert not any(gen_sys.batch_runtime.hb_shortcut.values())
+        assert observed
+
+        assert (trace_fingerprint(gen.trace)
+                == trace_fingerprint(short.trace))
+        # The engine gauge counts *logical* deliveries, so it matches
+        # whichever dispatch delivered them.
+        assert gen_sys.sim.events_executed == short_sys.sim.events_executed
+        assert gen.final_modes == short.final_modes
         # The batch machinery actually engaged: many logical entries rode
         # on fewer physical heap events.
-        stats = bat_sys.batch_runtime.stats()
+        stats = short_sys.batch_runtime.stats()
         assert stats["entries_batched"] > 0
         assert stats["batches_fired"] < stats["entries_batched"]
-        # The reference run never constructs a batch runtime.
-        assert ref_sys.batch_runtime is None
+        assert stats["entries_batched"] < short_sys.sim.events_executed
 
     @pytest.mark.parametrize("mode", ["milestones", "counts-only"])
     def test_reduced_modes_keep_census_and_milestones(self, mode):
-        _, ref_full = run_scenario(42, batched=False, mode="full")
-        bat_sys, bat = run_scenario(42, batched=True, mode=mode)
+        _, full = run_scenario(42, mode="full")
+        red_sys, reduced = run_scenario(42, mode=mode)
         # Tallies fill the gap left by unretained per-hop records.
-        assert bat.trace.kind_counts() == ref_full.trace.kind_counts()
+        assert reduced.trace.kind_counts() == full.trace.kind_counts()
         if mode == "milestones":
-            assert (milestone_reprs(bat.trace)
-                    == milestone_reprs(ref_full.trace))
+            assert (milestone_reprs(reduced.trace)
+                    == milestone_reprs(full.trace))
         else:
-            assert len(bat.trace) == 0
-        assert bat_sys.batch_runtime.stats()["entries_batched"] > 0
+            assert len(reduced.trace) == 0
+        assert red_sys.batch_runtime.stats()["entries_batched"] > 0
 
 
 class TestMessagePool:
@@ -105,8 +124,8 @@ class TestMessagePool:
     allocation-free; none of it is observable in the trace."""
 
     def test_exhaustion_grows_pool_without_perturbing_trace(self):
-        _, ref = run_scenario(42, batched=False, scenario="flood_plus_fault")
-        system = build_system(42, batched=True)
+        _, ref = run_scenario(42, scenario="flood_plus_fault")
+        system = build_system(42)
         # Pre-install a runtime with a pool far too small for the
         # evidence flood: exhaustion must grow it, not fail.
         system.batch_runtime = BatchRuntime(system, pool_prealloc=2)
@@ -124,7 +143,7 @@ class TestMessagePool:
         assert stats["peak_free"] >= 2
 
     def test_warm_pool_carries_across_runs(self):
-        system = build_system(42, batched=True)
+        system = build_system(42)
         scn = stage("flood_plus_fault", system)
 
         def one_run():
@@ -154,18 +173,18 @@ class TestSweep:
 
     def test_sweep_matches_fresh_reference_per_seed(self):
         seeds = (42, 43, 44)
-        system = build_system(42, batched=True)
+        system = build_system(42)
         runs = run_sweep(system, seeds, N_PERIODS,
                          scenario="single_commission")
         assert [r.seed for r in runs] == list(seeds)
         for run in runs:
-            _, ref = run_scenario(run.seed, batched=False)
+            _, ref = run_scenario(run.seed)
             assert run.fingerprint == trace_fingerprint(ref.trace)
             assert run.fingerprint == trace_fingerprint(run.result.trace)
             assert run.wall_s >= 0.0
 
     def test_sweep_siblings_share_frozen_artifacts(self):
-        system = build_system(42, batched=True)
+        system = build_system(42)
         from repro.perf.batchcore import sibling_system
 
         sibling = sibling_system(system, 43)
@@ -173,21 +192,20 @@ class TestSweep:
         assert sibling.budget is system.budget
         assert sibling.router is system.router
         assert sibling.config.seed == 43
-        assert sibling.config.batched_core
+        # Per-seed state is the sibling's own.
+        assert sibling.directory is not system.directory
 
 
 class TestSharedPrepare:
     def test_identical_inputs_share_the_strategy_object(self):
         first = BTRSystem(
             industrial_workload(), full_mesh_topology(7, bandwidth=1e8),
-            BTRConfig(f=1, seed=42, runtime_fastpath=True,
-                      batched_core=True))
+            BTRConfig(f=1, seed=42))
         _PREPARE_MEMO.pop(_prepare_key(first), None)
         budget_first = shared_prepare(first)
         second = BTRSystem(
             industrial_workload(), full_mesh_topology(7, bandwidth=1e8),
-            BTRConfig(f=1, seed=99, runtime_fastpath=True,
-                      batched_core=True))
+            BTRConfig(f=1, seed=99))
         budget_second = shared_prepare(second)
         # The memo hands over the exact objects — plan-riding memos on
         # the strategy stay warm — and the run seed is not in the key.
@@ -197,12 +215,10 @@ class TestSharedPrepare:
     def test_different_f_misses_the_memo(self):
         base = BTRSystem(
             industrial_workload(), full_mesh_topology(7, bandwidth=1e8),
-            BTRConfig(f=1, seed=42, runtime_fastpath=True,
-                      batched_core=True))
+            BTRConfig(f=1, seed=42))
         other = BTRSystem(
             industrial_workload(), full_mesh_topology(7, bandwidth=1e8),
-            BTRConfig(f=2, seed=42, runtime_fastpath=True,
-                      batched_core=True))
+            BTRConfig(f=2, seed=42))
         assert _prepare_key(base) != _prepare_key(other)
         shared_prepare(base)
         shared_prepare(other)

@@ -69,19 +69,15 @@ def test_cli_run_rejects_unknown_fault(capsys):
         main(["run", "--fault", "gremlins"])
 
 
-def test_cli_run_batched_matches_reference_output(capsys):
+def test_cli_run_report_is_trace_mode_independent(capsys):
     argv = ("run", "--periods", "12", "--scenario", "single_commission")
-    code_ref, out_ref = run_cli(capsys, *argv)
-    code_bat, out_bat = run_cli(capsys, *argv, "--batched")
-    assert code_ref == code_bat == 0
-    # The batched core is behaviour-preserving: the run report (verdict,
-    # timeline, message census) is identical text.
-    assert out_bat == out_ref
-
-
-def test_cli_batched_requires_fastpath(capsys):
-    with pytest.raises(SystemExit, match="fast path"):
-        main(["run", "--batched", "--no-fastpath"])
+    code_full, out_full = run_cli(capsys, *argv)
+    code_miles, out_miles = run_cli(capsys, *argv, "--trace-mode",
+                                    "milestones")
+    assert code_full == code_miles == 0
+    # The report (verdict, timeline, message census) reads only what
+    # milestone traces keep, so it is identical text either way.
+    assert out_miles == out_full
 
 
 # ------------------------------------------------------------------ compare

@@ -1,16 +1,15 @@
-"""Online-runtime fast path: identical behaviour, cheaper execution.
+"""The runtime's crypto memo and trace modes: same run, less work.
 
-The fast path (``repro.perf.fastpath`` plus the gated surgery in crypto/,
-sim/ and core/runtime/) promises exactly one thing: the same run, byte for
-byte, for less work. These tests pin that promise from four sides —
+``repro.perf.fastpath`` (the verify memo and trace fingerprints) and the
+trace recording modes promise the same run for less work. These tests
+pin that promise from four sides —
 
-* determinism property: fastpath on/off x all trace modes produce the
-  same milestone events, the same recovery timelines, the same event
-  census, across seeds;
+* determinism property: every trace mode produces the same milestone
+  events, the same recovery timelines and the same event census as the
+  full trace, across seeds;
 * verify-memo semantics: forged or invalid signatures are never cached,
   eviction is deterministic;
-* canonicalization caching: one serialization per statement lifetime on
-  the fast path, legacy recomputation when disabled;
+* canonicalization caching: one serialization per statement lifetime;
 * trace modes: reduced modes keep the census and refuse reconstruction
   they cannot support.
 """
@@ -25,20 +24,19 @@ from repro.faults.scenarios import stage
 from repro.net import full_mesh_topology
 from repro.obs import REQUIRED_KINDS
 from repro.obs.recovery import reconstruct_timelines
-from repro.perf.fastpath import VerifyMemo, trace_fingerprint
+from repro.perf.fastpath import VerifyMemo
 from repro.sim.trace import MILESTONE_KINDS, TRACE_MODES, Trace, MessageSent
 from repro.workload import industrial_workload
 
 N_PERIODS = 12
 
 
-def run_scenario(seed: int, fastpath: bool, mode: str,
+def run_scenario(seed: int, mode: str,
                  scenario: str = "single_commission"):
     system = BTRSystem(
         industrial_workload(),
         full_mesh_topology(7, bandwidth=1e8),
-        BTRConfig(f=1, seed=seed, runtime_fastpath=fastpath,
-                  trace_mode=mode),
+        BTRConfig(f=1, seed=seed, trace_mode=mode),
     )
     system.prepare()
     scn = stage(scenario, system)
@@ -52,39 +50,36 @@ def milestone_reprs(trace) -> list:
 
 
 class TestDeterminismProperty:
-    """Same seed => same observable run, whatever the knobs."""
+    """Same seed => same observable run, whatever the trace mode."""
 
     @pytest.mark.parametrize("seed", [41, 42, 43])
     def test_fastpath_and_trace_modes_agree(self, seed):
-        _, off_full = run_scenario(seed, fastpath=False, mode="full")
-        on_sys, on_full = run_scenario(seed, fastpath=True, mode="full")
-        mi_sys, on_miles = run_scenario(seed, fastpath=True,
-                                        mode="milestones")
-
-        # Full-mode traces are byte-identical with the fast path on/off.
-        assert (trace_fingerprint(on_full.trace)
-                == trace_fingerprint(off_full.trace))
+        full_sys, full = run_scenario(seed, mode="full")
+        mi_sys, miles = run_scenario(seed, mode="milestones")
 
         # The milestone trace is exactly the milestone-kind subsequence
         # of the full trace — same events, same fields, same order.
-        assert (milestone_reprs(on_miles.trace)
-                == milestone_reprs(off_full.trace))
+        assert milestone_reprs(miles.trace) == milestone_reprs(full.trace)
 
         # Recovery timelines (detect/convict/.../residual spans) agree.
-        off_tl = [t.to_dict() for t in reconstruct_timelines(off_full)]
-        mi_tl = [t.to_dict() for t in reconstruct_timelines(on_miles)]
-        assert mi_tl == off_tl
-        assert sum(t.phase_sum() for t in reconstruct_timelines(on_miles)) \
-            == sum(t.phase_sum() for t in reconstruct_timelines(off_full))
+        full_tl = [t.to_dict() for t in reconstruct_timelines(full)]
+        mi_tl = [t.to_dict() for t in reconstruct_timelines(miles)]
+        assert mi_tl == full_tl
+        assert sum(t.phase_sum() for t in reconstruct_timelines(miles)) \
+            == sum(t.phase_sum() for t in reconstruct_timelines(full))
 
         # The event census is mode-independent (tallies fill the gap)...
-        assert on_miles.trace.kind_counts() == off_full.trace.kind_counts()
+        assert miles.trace.kind_counts() == full.trace.kind_counts()
         # ...and the simulation itself executed the same event sequence.
-        assert on_sys.sim.events_executed == mi_sys.sim.events_executed
+        assert full_sys.sim.events_executed == mi_sys.sim.events_executed
+        # The memo absorbed repeat verifications in both runs alike.
+        assert full_sys.directory.verify_memo.hits > 0
+        assert (full_sys.directory.verify_memo.stats()
+                == mi_sys.directory.verify_memo.stats())
 
     def test_counts_only_keeps_census_but_refuses_timelines(self):
-        _, full = run_scenario(42, fastpath=True, mode="full")
-        _, counts = run_scenario(42, fastpath=True, mode="counts-only")
+        _, full = run_scenario(42, mode="full")
+        _, counts = run_scenario(42, mode="counts-only")
         assert counts.trace.kind_counts() == full.trace.kind_counts()
         assert len(counts.trace) == 0
         with pytest.raises(ValueError, match="trace_mode"):
@@ -93,7 +88,7 @@ class TestDeterminismProperty:
 
 class TestVerifyMemo:
     def directory(self) -> KeyDirectory:
-        directory = KeyDirectory(master_seed=7, verify_memo=True)
+        directory = KeyDirectory(master_seed=7)
         directory.register("n1")
         directory.register("n2")
         return directory
@@ -169,7 +164,7 @@ class TestCanonicalizationCaching:
             return canonical_bytes(payload)
 
         monkeypatch.setattr(auth_mod, "canonical_bytes", counting)
-        directory = KeyDirectory(master_seed=7, verify_memo=True)
+        directory = KeyDirectory(master_seed=7)
         directory.register("n1")
         stmt = AuthenticatedStatement.make(directory, "n1", {"flow": "f", "period": 9})
         assert len(calls) == 1  # serialized once, at make()
@@ -181,21 +176,10 @@ class TestCanonicalizationCaching:
         assert stmt.valid(directory) and stmt.valid(directory)
         assert len(calls) == 1
 
-    def test_legacy_verification_reserializes(self):
-        directory = KeyDirectory(master_seed=7, verify_memo=False)
-        directory.register("n1")
-        stmt = AuthenticatedStatement.make(directory, "n1", {"flow": "f", "period": 9})
-        # Without the memo, every verification performs the full legacy
-        # HMAC (serialize + digest), so the off column of the E17 A/B
-        # benchmark is a faithful baseline.
-        for expected in (1, 2, 3):
-            assert stmt.valid(directory)
-            assert directory.verifies == expected
-
     def test_evidence_id_reuses_statement_digest(self, monkeypatch):
         import repro.crypto.authenticator as auth_mod
 
-        directory = KeyDirectory(master_seed=7, verify_memo=True)
+        directory = KeyDirectory(master_seed=7)
         for node in ("n1", "n2"):
             directory.register(node)
         s1 = AuthenticatedStatement.make(directory, "n1", {"flow": "f", "value": 1})

@@ -332,7 +332,7 @@ def test_allocation_in_loop_scope_and_pragma():
             for _ in range(n):
                 self.free.append(Message())
     """
-    # Only the batched-core hot modules are in scope.
+    # Only the batched hot modules are in scope.
     assert rules_hit(src, path=CORE_PATH) == []
     assert rules_hit(src, path=SIM_PATH) == []
     suppressed = textwrap.dedent("""\
@@ -352,8 +352,25 @@ def test_allocation_in_loop_outside_loops_is_fine():
     assert rules_hit(src, path=BATCHCORE_PATH) == []
 
 
+def test_scope_fragments_name_existing_modules():
+    """Every path fragment a scoped rule keys off names a package or
+    module under src/, so deleting a module cannot leave a stale scope
+    behind."""
+    from tools.lint import rules
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    fragments = set()
+    for scope in (rules.RESTRICTED_FRAGMENTS, rules.NODE_ORDER_FRAGMENTS,
+                  rules.SCHEDULE_CLIENT_FRAGMENTS, rules.HOT_LOOP_FRAGMENTS,
+                  rules.INT_TIME_FRAGMENTS):
+        fragments.update(scope)
+    for fragment in sorted(fragments):
+        path = src / fragment.rstrip("/")
+        assert path.is_dir() or path.with_suffix(".py").is_file(), fragment
+
+
 def test_batchcore_is_in_schedule_and_node_order_scope():
-    """The batched core feeds the event queue directly, so the dict-view
+    """The batched emitters feed the event queue directly, so the dict-view
     ordering rule and the schedule-bypass rule both watch it."""
     assert rules_hit("sim.schedule(5, cb)\n", path=BATCHCORE_PATH) \
         == ["engine-schedule-bypass"]

@@ -95,7 +95,7 @@ def test_delivery_hook_delays_chosen_deliveries():
 
 
 def test_engine_rejects_scheduling_into_the_past():
-    sim = Simulator(seed=1, fast_heap=True)
+    sim = Simulator(seed=1)
     sim.schedule(10, lambda: sim.schedule(5, lambda: None))
     with pytest.raises(SimulationError):
         sim.run_until(20)

@@ -262,3 +262,42 @@ def test_run_result_summary_mentions_faults():
     system, result = run_system(kind="crash")
     text = result.summary()
     assert "faults" in text and "outputs" in text
+
+
+def test_finished_runs_free_their_agents_without_the_cycle_collector():
+    """A run's agents, evidence logs and signed statements are freed by
+    reference counting once the next run replaces them: after the second
+    run(), the cycle collector finds nothing left of the first run's
+    agents. Cycles would pile up until a full collection, which comes
+    late because the batched loop allocates few GC-tracked objects."""
+    import gc
+    import weakref
+
+    from repro.core.runtime.agent import NodeAgent
+
+    system = BTRSystem(industrial_workload(),
+                       full_mesh_topology(7, bandwidth=1e8),
+                       BTRConfig(f=1, seed=42))
+    system.prepare()
+    adversary = SingleFaultAdversary(at=FAULT_AT, kind="commission")
+    was_enabled = gc.isenabled()
+    gc.collect()  # earlier garbage is not this test's business
+    gc.disable()
+    try:
+        result = system.run(12, adversary)
+        assert result.trace.count(EvidenceGenerated) > 0
+        first = [weakref.ref(agent) for agent in system.agents.values()]
+        system.run(12, adversary)
+        # Freed by reference counting alone: the collector is off.
+        assert all(ref() is None for ref in first)
+        # The second run's agents are live; anything the collector finds
+        # unreachable would be left over from the first.
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [obj for obj in gc.garbage if isinstance(obj, NodeAgent)]
+        assert leaked == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()

@@ -1,55 +1,53 @@
-"""Region-sharded event core: exact merge, byte-identical traces.
+"""Geo-scale execution: geo topologies and scenarios, stretched
+workloads, sweep hygiene and the process-pool sweep.
 
-The sharded executor (``repro.perf.shardcore``, gated behind
-``BTRConfig(sharded_core=True, shards=N)``) partitions the simulator
-heap by topology region and promises the exact global (time, seq)
-execution order of the single-loop reference. These tests pin that
-promise from five sides —
+The file keeps the name it had while it also tested the region-sharded
+executor, which is gone: geo deployments now run on the one runtime
+engine (its behaviour is pinned by ``tests/test_golden_traces.py``). What
+stays is pinned here from five sides —
 
-* byte-identity: full BTR runs produce identical trace fingerprints,
-  event gauges, and verdict-relevant outputs for shards in {1, 2, R}
-  and versus the non-sharded reference, under geo scenarios with fault
-  and link scripts — while the shard machinery demonstrably engages;
-* engine semantics: property-tested random event graphs execute in the
-  same order on every shard count, and cancellation / peek / step /
-  compaction behave exactly like the base engine;
-* planning: geo topologies partition into connected per-region blocks
-  whose concatenation is the global sorted node order, with a strictly
-  positive WAN lookahead; flat topologies are refused;
-* delivery hooks: conforming (delay-only) hooks compose with sharding
-  byte-identically; accelerating hooks are rejected at the offending
-  call; pool sweeps reject hooks outright;
+* sweep identity: a sibling sharing a prepared system's frozen plan
+  reproduces a freshly prepared system's full trace, per geo scenario
+  and seed, and a delivery hook is consulted at every delivery point;
+* geo topologies: regions partition the node set into connected local
+  meshes joined by WAN links strictly slower than zero; flat layouts
+  are refused;
+* the pool sweep: worker processes (started with ``spawn``, so nothing
+  is inherited from the parent's memory) reproduce the serial sweep's
+  per-seed fingerprints on a run long enough to emit evidence;
 * sweep hygiene: scenario link scripts must not leak residual loss
-  into later runs over the shared topology (the order-independence
-  regression behind the pool sweep's byte-equality gate).
+  into later runs over the shared topology;
+* geo scenarios and stretched workloads: shape validation and the
+  period/deadline stretch.
 """
 
 import dataclasses
+import functools
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.perf.batchcore as batchcore
 from repro import BTRConfig, BTRSystem
 from repro.faults.scenarios import ScenarioError, geo_scenario, stage
 from repro.net import full_mesh_topology, geo_topology
 from repro.net.topology import TopologyError
-from repro.perf.batchcore import run_sweep
-from repro.perf.fastpath import trace_fingerprint
-from repro.perf.shardcore import (
+from repro.perf.batchcore import (
     GeoSweepSpec,
-    ShardedSimulator,
-    ShardingError,
-    guarded_delivery_hook,
-    plan_shards,
+    run_sweep,
     run_sweep_pool,
-    sharded_simulator,
     system_for_spec,
 )
-from repro.sim.time import NEVER
+from repro.perf.fastpath import trace_fingerprint
+from repro.sim.trace import EvidenceGenerated, MessageSent
 from repro.workload import industrial_workload, stretched_workload
 
-N_PERIODS = 6
+#: Long enough for the gateway crash (at 2.2 s, 0.5 s periods) to be
+#: detected and flooded as evidence.
+N_PERIODS = 12
 
 SPEC = GeoSweepSpec(regions=3, nodes_per_region=4, n_periods=N_PERIODS,
                     trace_mode="full", scenario="geo:3x4")
@@ -63,10 +61,10 @@ def proto():
     return system
 
 
-def variant(proto, seed=42, **overrides):
-    """A prepared system with config overrides, sharing the prototype's
-    planning artifacts (sharding flags never enter planning)."""
-    config = dataclasses.replace(proto.config, seed=seed, **overrides)
+def variant(proto, seed=42):
+    """A prepared system on another seed, sharing the prototype's
+    planning artifacts."""
+    config = dataclasses.replace(proto.config, seed=seed)
     system = BTRSystem(proto.workload, proto.topology, config)
     system.router = proto.router
     system.lane_model = proto.lane_model
@@ -86,99 +84,21 @@ def run_one(system, scenario=SPEC.scenario):
 
 
 class TestByteIdentity:
-    """Full traces identical for shards in {1, 2, R} vs the reference."""
-
-    @pytest.mark.parametrize("shards", [1, 2, 0])
-    def test_sharded_matches_reference(self, proto, shards):
-        ref_sys = variant(proto, sharded_core=False, shards=0)
-        ref = run_one(ref_sys)
-        shd_sys = variant(proto, sharded_core=True, shards=shards)
-        shd = run_one(shd_sys)
-        assert (trace_fingerprint(shd.trace)
-                == trace_fingerprint(ref.trace))
-        assert shd_sys.sim.events_executed == ref_sys.sim.events_executed
-        assert shd.final_modes == ref.final_modes
-        assert shd.final_fault_sets == ref.final_fault_sets
-        stats = shd_sys.sim.shard_stats()
-        expected = {1: 1, 2: 2, 0: SPEC.regions}[shards]
-        assert stats["shards"] == expected
-        if expected > 1:
-            # The machinery actually engaged: windows were cut and
-            # cross-shard (WAN) events were routed.
-            assert stats["shard_windows"] > expected
-            assert stats["cross_shard_events"] > 0
-            assert stats["lookahead_us"] > 0
-        gauges = shd.metrics["gauges"]
-        assert gauges["shards"] == expected
-        assert gauges["shard_windows"] == stats["shard_windows"]
+    """Shared frozen plans change nothing a run records."""
 
     def test_scenario_seed_matrix(self, proto):
         for scenario in ("gateway_crash", "wan_brownout"):
             for seed in (42, 202):
-                ref = run_one(variant(proto, seed=seed, sharded_core=False,
-                                      shards=0), scenario)
-                shd = run_one(variant(proto, seed=seed), scenario)
-                assert (trace_fingerprint(shd.trace)
-                        == trace_fingerprint(ref.trace)), (scenario, seed)
+                shared = run_one(variant(proto, seed=seed), scenario)
+                fresh_sys = system_for_spec(
+                    dataclasses.replace(SPEC, seed=seed))
+                fresh_sys.prepare()
+                fresh = run_one(fresh_sys, scenario)
+                assert (trace_fingerprint(shared.trace)
+                        == trace_fingerprint(fresh.trace)), (scenario, seed)
 
 
-# ------------------------------------------------- engine order property
-
-
-def _node_shard(grouping):
-    """node -> shard for three regions r0/r1/r2, two nodes each."""
-    return {f"r{r}n{i}": shard
-            for r, shard in enumerate(grouping) for i in range(2)}
-
-
-def _run_schedule(events, grouping):
-    """Execute a generated event graph; return the (time, tag) log."""
-    shard_count = max(grouping) + 1
-    node_shard = _node_shard(grouping)
-    sim = ShardedSimulator(seed=7, node_shard=node_shard,
-                           shard_count=shard_count, lookahead_us=50)
-    log = []
-
-    def fire(tag, children):
-        def callback():
-            log.append((sim.now, tag))
-            for child_node, delay, child_tag in children:
-                sim.schedule_to(sim.shard_of(child_node),
-                                sim.now + delay,
-                                fire(child_tag, []))
-        return callback
-
-    nodes = sorted(node_shard)
-    for index, (time, node_index, children) in enumerate(events):
-        node = nodes[node_index % len(nodes)]
-        kids = [(nodes[c % len(nodes)], d, (index, k))
-                for k, (c, d) in enumerate(children)]
-        sim.call_at_in(sim.shard_of(node), time, fire(index, kids))
-    sim.run_until(10_000)
-    return log
-
-
-EVENT_GRAPHS = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=2_000),       # time
-        st.integers(min_value=0, max_value=5),           # node
-        st.lists(st.tuples(st.integers(min_value=0, max_value=5),
-                           st.integers(min_value=1, max_value=400)),
-                 max_size=3),                            # children
-    ),
-    min_size=1, max_size=12,
-)
-
-
-@settings(max_examples=40, deadline=None)
-@given(events=EVENT_GRAPHS)
-def test_property_merge_order_stable_across_shard_counts(events):
-    """The same event graph executes in the same order for every
-    shard count — including cross-shard children scheduled below the
-    current horizon."""
-    reference = _run_schedule(events, (0, 0, 0))
-    assert _run_schedule(events, (0, 0, 1)) == reference
-    assert _run_schedule(events, (0, 1, 2)) == reference
+# ------------------------------------------------------- geo topologies
 
 
 @settings(max_examples=15, deadline=None)
@@ -199,98 +119,32 @@ def test_property_geo_partitions_connected_with_positive_lookahead(
         assert nx.is_connected(local)
         seen.extend(members)
     assert sorted(seen) == sorted(topo.node_ids())
-    # Lookahead is strictly positive and equals the WAN minimum.
-    plan = plan_shards(topo)
-    assert plan.shard_count == regions
-    assert plan.lookahead_us == topo.min_wan_latency_us() > 0
-    # Shard node blocks concatenate to the global sorted order — the
-    # property the per-shard tick splitting relies on.
-    blocks = []
-    for shard in range(plan.shard_count):
-        blocks.extend(sorted(
-            n for n, s in plan.node_shard.items() if s == shard))
-    assert blocks == sorted(topo.node_ids())
-
-
-# --------------------------------------------------- planning and config
+    # Every WAN link crosses regions, and the fastest one is strictly
+    # slower than zero (the conservative lookahead a partitioned
+    # execution would rely on).
+    wan = topo.wan_links()
+    assert wan
+    for link in wan:
+        a, b = link.endpoints
+        assert topo.nodes[a].region != topo.nodes[b].region
+    assert topo.min_wan_latency_us() == min(
+        link.propagation_us for link in wan) > 0
 
 
 class TestPlanning:
+    """Geo planning inputs."""
+
     def test_flat_topology_is_refused(self):
-        with pytest.raises(ShardingError, match="no region tags"):
-            plan_shards(full_mesh_topology(5, bandwidth=1e8))
-
-    def test_shard_requests_above_region_count_clamp(self):
-        topo = geo_topology(3, 2)
-        assert plan_shards(topo, 17).shard_count == 3
-        plan = plan_shards(topo, 2)
-        assert plan.shard_count == 2
-        # Grouping keeps contiguous runs of the canonical region order.
-        assert plan.shard_regions == (("r0", "r1"), ("r2",))
-
-    def test_single_shard_has_zero_lookahead(self):
-        plan = plan_shards(geo_topology(2, 2), 1)
-        assert plan.shard_count == 1
-        assert plan.lookahead_us == 0
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="requires runtime_fastpath"):
-            BTRConfig(sharded_core=True, runtime_fastpath=False)
-        with pytest.raises(ValueError, match="only meaningful"):
-            BTRConfig(shards=2)
-        with pytest.raises(ValueError, match=">= 0"):
-            BTRConfig(sharded_core=True, shards=-1)
+        # One region is a flat deployment, and WAN links as fast as
+        # local ones would make regions indistinguishable from one mesh.
+        with pytest.raises(TopologyError, match=">= 2 regions"):
+            geo_topology(1, 4)
+        with pytest.raises(TopologyError, match="must be >= 10x"):
+            geo_topology(2, 4, wan_latency=100, propagation=50)
 
     def test_min_wan_latency_requires_wan_links(self):
         with pytest.raises(TopologyError, match="no WAN links"):
             full_mesh_topology(4, bandwidth=1e8).min_wan_latency_us()
-
-
-# ----------------------------------------------------- engine semantics
-
-
-class TestEngineSemantics:
-    def _sim(self):
-        return sharded_simulator(geo_topology(3, 2), seed=3)
-
-    def test_cancellation_and_peek_cross_shards(self):
-        sim = self._sim()
-        log = []
-        keep = sim.call_at_in(0, 100, lambda: log.append("a"))
-        drop = sim.call_at_in(1, 50, lambda: log.append("b"))
-        sim.call_at_in(2, 150, lambda: log.append("c"))
-        assert sim.peek_next_time() == 50
-        drop.cancel()
-        assert drop.cancelled and not keep.cancelled
-        assert sim.peek_next_time() == 100
-        assert sim.pending_events() == 2
-        while sim.step():
-            pass
-        assert log == ["a", "c"]
-        assert sim.peek_next_time() == NEVER
-
-    def test_compaction_keeps_survivors(self):
-        sim = self._sim()
-        log = []
-        handles = [sim.call_at_in(i % 3, 10 + i, lambda i=i: log.append(i))
-                   for i in range(90)]
-        for handle in handles[1:80]:
-            handle.cancel()
-        # Compaction ran at least once (the residue is below the
-        # total >= 64 re-trigger threshold, like the base engine).
-        assert sim._cancelled_in_queue < 79
-        sim.run_until(1_000)
-        assert log == [0] + list(range(80, 90))
-
-    def test_past_scheduling_is_rejected(self):
-        from repro.sim.engine import SimulationError
-        sim = self._sim()
-        sim.call_at_in(0, 10, lambda: None)
-        sim.run_until(20)
-        with pytest.raises(SimulationError):
-            sim.call_at_in(1, 5, lambda: None)
-        with pytest.raises(SimulationError):
-            sim.schedule_to(1, 5, lambda: None)
 
 
 # ------------------------------------------------------- delivery hooks
@@ -298,46 +152,52 @@ class TestEngineSemantics:
 
 class TestDeliveryHooks:
     def test_delaying_hook_composes_byte_identically(self, proto):
+        """Every delivery point — per-message transmits and each
+        receiver of a batched fan-out — consults the hook exactly once,
+        and a hook that delays by zero changes nothing."""
+        calls = []
+
         def hook(sender, receiver, arrival):
-            return arrival + (1 if sender.endswith("n0") else 0)
+            calls.append((sender, receiver))
+            return arrival
 
-        ref = variant(proto, sharded_core=False, shards=0).run(
-            N_PERIODS, delivery_hook=hook)
-        shd = variant(proto).run(N_PERIODS, delivery_hook=hook)
-        assert (trace_fingerprint(shd.trace)
-                == trace_fingerprint(ref.trace))
-
-    def test_accelerating_hook_fails_loudly_under_sharding(self, proto):
-        with pytest.raises(ShardingError, match="accelerated"):
-            variant(proto).run(N_PERIODS,
-                               delivery_hook=lambda s, r, t: t - 1)
-
-    def test_guarded_hook_passes_through_conforming_results(self):
-        guarded = guarded_delivery_hook(lambda s, r, t: t + 5)
-        assert guarded("a", "b", 100) == 105
-        with pytest.raises(ShardingError):
-            guarded_delivery_hook(lambda s, r, t: t - 1)("a", "b", 100)
-
-    def test_pool_sweep_rejects_hooks(self):
-        with pytest.raises(ShardingError, match="process boundaries"):
-            run_sweep_pool(SPEC, (42, 43), workers=2,
-                           delivery_hook=lambda s, r, t: t)
+        plain = run_one(variant(proto))
+        system = variant(proto)
+        scn = stage(SPEC.scenario, system)
+        hooked = system.run(N_PERIODS, adversary=scn.script,
+                            link_script=scn.link_script or None,
+                            delivery_hook=hook)
+        assert (trace_fingerprint(hooked.trace)
+                == trace_fingerprint(plain.trace))
+        assert len(calls) == hooked.trace.count(MessageSent)
 
 
 # ------------------------------------------------------------ pool sweep
 
 
 class TestPoolSweep:
-    def test_pool_matches_serial_reference(self, proto, tmp_path):
+    def test_pool_matches_serial_reference(self, proto, tmp_path,
+                                           monkeypatch):
         seeds = (42, 202)
-        serial = {run.seed: run.fingerprint
-                  for run in run_sweep(proto, seeds, N_PERIODS,
-                                       scenario=SPEC.scenario)}
+        serial = run_sweep(proto, seeds, N_PERIODS, scenario=SPEC.scenario)
+        # The gateway crash is detected and flooded: fingerprints cover
+        # evidence records, not only fault-free traffic.
+        for run in serial:
+            assert run.result.trace.count(EvidenceGenerated) > 0
+        fingerprints = {run.seed: run.fingerprint for run in serial}
+        # Spawned workers start from a fresh interpreter (their own
+        # string-hash salt, nothing inherited from this process).
+        monkeypatch.setattr(batchcore, "ProcessPoolExecutor",
+                            functools.partial(
+                                ProcessPoolExecutor,
+                                mp_context=multiprocessing.get_context(
+                                    "spawn")))
         spec = dataclasses.replace(SPEC, cache=str(tmp_path))
         out = run_sweep_pool(spec, seeds, workers=2)
         assert [row["seed"] for row in out["runs"]] == list(seeds)
         for row in out["runs"]:
-            assert row["fingerprint"] == serial[row["seed"]], row["seed"]
+            assert row["fingerprint"] == fingerprints[row["seed"]], \
+                row["seed"]
         assert out["workers"] == 2
 
     def test_empty_seed_list_is_a_noop(self):
@@ -346,7 +206,7 @@ class TestPoolSweep:
 
     def test_unknown_workload_is_refused(self):
         spec = dataclasses.replace(SPEC, workload="nope")
-        with pytest.raises(ShardingError, match="unknown workload"):
+        with pytest.raises(ValueError, match="unknown workload"):
             system_for_spec(spec)
 
 
@@ -355,7 +215,7 @@ class TestPoolSweep:
 
 class TestSweepHygiene:
     def test_link_scripts_restore_residual_loss(self, proto):
-        system = variant(proto, sharded_core=False, shards=0)
+        system = variant(proto)
         link = system.topology.wan_links()[0]
         before = link.loss_probability
         system.run(N_PERIODS,

@@ -171,7 +171,7 @@ def test_rng_forks_with_different_labels_differ():
     assert x != y
 
 
-# ------------------------------------------------------- fast heap / guards
+# ------------------------------------------- tuple heap (the former fast heap)
 
 
 def test_run_is_reentrancy_guarded():
@@ -193,7 +193,7 @@ def test_run_is_reentrancy_guarded():
 
 
 def test_run_until_is_reentrancy_guarded_with_fast_heap():
-    sim = Simulator(fast_heap=True)
+    sim = Simulator()
 
     def reenter():
         with pytest.raises(SimulationError, match="re-entrantly"):
@@ -204,32 +204,97 @@ def test_run_until_is_reentrancy_guarded_with_fast_heap():
     assert sim.now == 50
 
 
+class SortedListEngine:
+    """Reference model of the engine for the properties below: a plain
+    list re-sorted by ``(time, seq)`` on every push, where cancelling
+    marks an entry dead. Slow and obviously right."""
+
+    def __init__(self):
+        self.entries = []  # [time, seq, callback, live]
+        self.seq = 0
+        self.now = 0
+        self.events_executed = 0
+
+    def push(self, time, callback):
+        entry = [time, self.seq, callback, True]
+        self.seq += 1
+        self.entries.append(entry)
+        self.entries.sort(key=lambda e: (e[0], e[1]))
+        return entry
+
+    def call_at(self, time, callback):
+        return self.push(time, callback)
+
+    def call_after(self, delay, callback):
+        return self.push(self.now + delay, callback)
+
+    def schedule(self, time, callback):
+        self.push(time, callback)
+
+    @staticmethod
+    def cancel(entry):
+        entry[3] = False
+
+    def _live(self):
+        return [e for e in self.entries if e[3]]
+
+    def peek_next_time(self):
+        live = self._live()
+        return live[0][0] if live else NEVER
+
+    def pending_events(self):
+        return len(self._live())
+
+    def step(self):
+        live = self._live()
+        if not live:
+            return False
+        entry = live[0]
+        self.entries.remove(entry)
+        entry[3] = False
+        self.now = entry[0]
+        self.events_executed += 1
+        entry[2]()
+        return True
+
+    def run_until(self, end_time):
+        while self._live() and self.peek_next_time() <= end_time:
+            self.step()
+        self.now = max(self.now, end_time)
+
+    def run(self):
+        while self.step():
+            pass
+
+
 @given(st.lists(st.integers(min_value=0, max_value=10**6),
                 min_size=1, max_size=60),
        st.sets(st.integers(min_value=0, max_value=59)))
-def test_property_fast_heap_matches_legacy_order(times, cancel_idx):
-    """The tuple-based fast heap fires the same events in the same order
-    as the legacy _Event heap, including under cancellation."""
-    logs = {}
-    for fast in (False, True):
-        sim = Simulator(seed=3, fast_heap=fast)
-        log = logs.setdefault(fast, [])
-        handles = []
-        for i, t in enumerate(times):
-            handles.append(
-                sim.call_at(t, lambda i=i: log.append((sim.now, i))))
+def test_property_fire_order_matches_sorted_reference(times, cancel_idx):
+    """The tuple heap fires the same events in the same order as the
+    sorted-list reference model, including under cancellation."""
+    logs = []
+    for engine in (Simulator(seed=3), SortedListEngine()):
+        log = []
+        handles = [engine.call_at(t, lambda i=i, e=engine:
+                                  log.append((e.now, i)))
+                   for i, t in enumerate(times)]
         for i in cancel_idx:
             if i < len(handles):
-                handles[i].cancel()
-        sim.run()
-    assert logs[True] == logs[False]
+                if isinstance(engine, Simulator):
+                    handles[i].cancel()
+                else:
+                    engine.cancel(handles[i])
+        engine.run()
+        logs.append(log)
+    assert logs[0] == logs[1]
 
 
 def test_schedule_interleaves_with_call_at_in_seq_order():
-    """schedule() (handle-free fast-path entries) shares the sequence
-    counter with call_at, so ties at one timestamp fire in submission
-    order regardless of which API queued them."""
-    sim = Simulator(fast_heap=True)
+    """schedule() (handle-free entries) shares the sequence counter with
+    call_at, so ties at one timestamp fire in submission order
+    regardless of which API queued them."""
+    sim = Simulator()
     fired = []
     sim.call_at(7, lambda: fired.append("a"))
     sim.schedule(7, lambda: fired.append("b"))
@@ -242,17 +307,17 @@ def test_schedule_interleaves_with_call_at_in_seq_order():
 
 
 def test_peek_next_time_skips_cancelled_fast_heap():
-    """The fast heap's peek must drain cancelled head entries exactly
-    like the legacy heap does, not report a dead event's time."""
-    for fast in (False, True):
-        sim = Simulator(fast_heap=fast)
-        h1 = sim.call_at(10, lambda: None)
-        h2 = sim.call_at(20, lambda: None)
-        sim.call_at(30, lambda: None)
-        h1.cancel()
-        h2.cancel()
-        assert sim.peek_next_time() == 30, f"fast_heap={fast}"
-        assert sim.pending_events() == 1, f"fast_heap={fast}"
+    """peek drains cancelled head entries, also when bare schedule()
+    entries sit behind them, instead of reporting a dead event's time."""
+    sim = Simulator()
+    h1 = sim.call_at(10, lambda: None)
+    h2 = sim.call_at(20, lambda: None)
+    sim.schedule(30, lambda: None)
+    sim.call_at(40, lambda: None)
+    h1.cancel()
+    h2.cancel()
+    assert sim.peek_next_time() == 30
+    assert sim.pending_events() == 2
 
 
 _OPS = st.lists(
@@ -270,46 +335,50 @@ _OPS = st.lists(
 
 
 @given(_OPS)
-def test_property_heap_modes_observably_identical(ops):
-    """Random op programs leave both heap representations in observably
-    identical states: same fire log, same ``peek_next_time`` and
-    ``pending_events`` after every operation, same clock and executed
-    count. This pins the cancelled-entry handling of the fast heap's
-    peek/pending paths to the legacy heap's behaviour."""
-    observed = {}
-    for fast in (False, True):
-        sim = Simulator(seed=11, fast_heap=fast)
-        log = observed.setdefault(fast, [])
+def test_property_ops_observably_match_sorted_reference(ops):
+    """Random op programs leave the engine and the sorted-list reference
+    model in observably identical states: same fire log, same
+    ``peek_next_time`` and ``pending_events`` after every operation,
+    same clock and executed count. This pins the cancelled-entry
+    handling of the heap's peek/pending/step paths."""
+    observed = []
+    for engine in (Simulator(seed=11), SortedListEngine()):
+        log = []
         handles = []
         for op, arg in ops:
             if op == "call_at":
-                target = max(arg, sim.now)
-                handles.append(sim.call_at(
+                target = max(arg, engine.now)
+                handles.append(engine.call_at(
                     target, lambda t=target: log.append(("fire", t))))
             elif op == "call_after":
-                handles.append(sim.call_after(
-                    arg, lambda a=arg: log.append(("after", sim.now))))
+                handles.append(engine.call_after(
+                    arg, lambda e=engine: log.append(("after", e.now))))
             elif op == "schedule":
-                target = max(arg, sim.now)
-                sim.schedule(target,
-                             lambda t=target: log.append(("sched", t)))
+                target = max(arg, engine.now)
+                engine.schedule(target,
+                                lambda t=target: log.append(("sched", t)))
             elif op == "cancel" and handles:
-                handles[arg % len(handles)].cancel()
+                handle = handles[arg % len(handles)]
+                if isinstance(engine, Simulator):
+                    handle.cancel()
+                else:
+                    engine.cancel(handle)
             elif op == "step":
-                log.append(("step", sim.step()))
+                log.append(("step", engine.step()))
             elif op == "run_until":
-                if arg >= sim.now:
-                    sim.run_until(arg)
-            log.append(("obs", sim.now, sim.peek_next_time(),
-                        sim.pending_events(), sim.events_executed))
-        sim.run()
-        log.append(("final", sim.now, sim.events_executed,
-                    sim.pending_events(), sim.peek_next_time()))
-    assert observed[True] == observed[False]
+                if arg >= engine.now:
+                    engine.run_until(arg)
+            log.append(("obs", engine.now, engine.peek_next_time(),
+                        engine.pending_events(), engine.events_executed))
+        engine.run()
+        log.append(("final", engine.now, engine.events_executed,
+                    engine.pending_events(), engine.peek_next_time()))
+        observed.append(log)
+    assert observed[0] == observed[1]
 
 
 def test_fast_heap_compaction_spares_schedule_entries():
-    sim = Simulator(fast_heap=True)
+    sim = Simulator()
     fired = []
     # Enough cancellable timers to trigger compaction (>= 64 queued,
     # cancelled majority), with bare schedule() entries interleaved.

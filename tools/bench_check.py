@@ -2,23 +2,33 @@
 """Guard the tracked BENCH trajectories against regressions.
 
 ``benchmarks/results/BENCH_sim.json`` is a *tracked* trajectory: every
-suite run appends one entry (git sha, date, per-scenario speedups and
-events/sec — see ``tools/run_experiments.py``). This check compares the
-latest entry against the committed baseline (the best earlier entry per
-metric) and fails on a >20% regression.
+suite run that exercises E19 (the engine-throughput experiment) appends
+one entry (git sha, date, per-deployment events/sec — see
+``tools/run_experiments.py``). Three checks apply:
 
-Two metric classes, treated differently:
+* **golden match** — an invariant: a latest entry recording
+  ``golden_match: false`` (some run diverged from the committed golden
+  trace table, ``tests/golden/traces.json``) fails regardless of
+  thresholds. A legacy entry's ``all_traces_identical: false`` fails
+  the same way;
+* **the throughput floor** — every >= 100-node deployment of the latest
+  *full* entry (``max_nodes`` >= 100) must run at >= 185,000 events/s:
+  twice the committed single-loop reference of the retired sharding
+  experiment (3,250,710 events in 35.06 s on ``geo:4x30``,
+  ``benchmarks/results/geo_stats.jsonl``). An absolute bar, so the
+  trajectory can never drift below it in 20% steps; smoke entries have
+  no such deployment and pass;
+* **absolute metrics** (``best_events_per_s``,
+  ``best_sweep_events_per_s``, ``best_pool_speedup``) — only checked
+  with ``--absolute``, against the best earlier entry. Wall-clock
+  throughput on shared CI runners is advice, not ground truth; enable
+  this locally on a quiet machine.
 
-* **ratio metrics** (``best_speedup_milestones``, ``best_speedup_batched``
-  per scenario) — checked by default. Both columns of a speedup come
-  from the same process on the same machine, so runner load largely
-  cancels out; a 20% drop means the optimisation layer itself decayed.
-* **absolute metrics** (``best_events_per_s_*``) — only checked with
-  ``--absolute``. Wall-clock throughput on shared CI runners is advice,
-  not ground truth; enable this locally on a quiet machine.
-
-The invariant column is always enforced: an entry recording
-``all_traces_identical: false`` fails regardless of thresholds.
+The ratio metrics earlier entries carry (``best_speedup_full``,
+``best_speedup_milestones``, ``best_speedup_batched``) divided by
+reference engine columns that no longer exist; they are retired, and
+so is ``BENCH_geo.json`` (the sharded-engine ratios, kept as a frozen
+record).
 
 ``benchmarks/results/BENCH_bounds.json`` is the second tracked
 trajectory (static recovery bounds, appended by full-grid E21 runs) and
@@ -32,23 +42,8 @@ gets the same treatment with the polarity flipped:
   (smallest) earlier ratio and a >20% increase fails — a bound that
   drifts looser certifies less while still passing soundness.
 
-``benchmarks/results/BENCH_geo.json`` is the third tracked trajectory
-(region-sharded engine at geo scale, appended by E22 runs):
-
-* byte-identity across shard counts is the invariant (an entry with
-  ``all_traces_identical: false`` fails unconditionally);
-* ``best_speedup_vs_single_loop`` and ``best_shard_ratio`` per
-  deployment are ratio metrics with the usual regression threshold;
-* additionally, any full entry (one whose ``max_nodes`` is >= 100)
-  must keep the geo engine at >= 2x over the single-loop reference on
-  its >=100-node deployment — ISSUE 10's acceptance floor, enforced as
-  an absolute bar rather than a relative baseline so the trajectory
-  can never drift below it in 20% steps;
-* ``best_pool_speedup`` is core-count dependent and only checked with
-  ``--absolute``.
-
 Usage:  python tools/bench_check.py [--absolute] [--threshold PCT]
-                [--path FILE] [--bounds-path FILE] [--geo-path FILE]
+                [--path FILE] [--bounds-path FILE]
 
 Exit codes: 0 ok (or fewer than two comparable entries), 1 regression or
 broken invariant, 2 unreadable trajectory.
@@ -66,20 +61,14 @@ DEFAULT_PATH = os.path.join(REPO, "benchmarks", "results",
                             "BENCH_sim.json")
 DEFAULT_BOUNDS_PATH = os.path.join(REPO, "benchmarks", "results",
                                    "BENCH_bounds.json")
-DEFAULT_GEO_PATH = os.path.join(REPO, "benchmarks", "results",
-                                "BENCH_geo.json")
 
-RATIO_METRICS = ("best_speedup_full", "best_speedup_milestones",
-                 "best_speedup_batched")
-ABSOLUTE_METRICS = ("best_events_per_s_on", "best_events_per_s_batched",
-                    "best_sweep_events_per_s")
-GEO_RATIO_METRICS = ("best_speedup_vs_single_loop", "best_shard_ratio")
-GEO_ABSOLUTE_METRICS = ("best_pool_speedup",)
+ABSOLUTE_METRICS = ("best_events_per_s", "best_sweep_events_per_s",
+                    "best_pool_speedup")
 
-#: ISSUE 10's acceptance floor: the sharded geo engine must stay >=2x
-#: the single-loop reference on a >=100-node deployment.
-GEO_SPEEDUP_FLOOR = 2.0
-GEO_FLOOR_NODES = 100
+#: Engine throughput floor on >= 100-node deployments, events/s:
+#: 2 x 3,250,710 events / 35.06 s (the retired single-loop reference).
+EVENTS_PER_S_FLOOR = 185_000
+FLOOR_NODES = 100
 
 
 def load_runs(path: str) -> list:
@@ -120,10 +109,11 @@ def check(runs: list, metrics, threshold_pct: float) -> tuple:
         return [], []
     latest = runs[-1]
     problems = []
-    if latest.get("all_traces_identical") is False:
-        problems.append("latest entry: traces NOT byte-identical "
-                        "(invariant broken — this is a bug, not a perf "
-                        "regression)")
+    if (latest.get("golden_match") is False
+            or latest.get("all_traces_identical") is False):
+        problems.append("latest entry: runs diverged from the golden "
+                        "trace table (invariant broken — this is a bug, "
+                        "not a perf regression)")
     current = scenario_metrics(latest, metrics)
     if len(runs) < 2:
         new = [f"{scenario}: {metric}"
@@ -207,33 +197,32 @@ def check_bounds(runs: list, threshold_pct: float) -> tuple:
 
 
 def check_geo_floor(runs: list) -> list:
-    """The absolute >=2x floor on the latest *full* geo entry.
+    """The absolute events/s floor on the latest *full* entry.
 
-    Smoke entries (no >=100-node deployment measured) carry the
-    byte-identity invariant but have nothing for the floor to bite on;
-    they pass. A full entry whose best >=100-node speedup dipped below
-    the floor fails regardless of how the relative baseline moved.
+    Smoke entries (no >=100-node deployment measured) carry the golden
+    invariant but have nothing for the floor to bite on; they pass. A
+    full entry whose >=100-node throughput dipped below the floor fails
+    regardless of how earlier entries moved.
     """
     if not runs:
         return []
     latest = runs[-1]
-    if (latest.get("max_nodes") or 0) < GEO_FLOOR_NODES:
+    if (latest.get("max_nodes") or 0) < FLOOR_NODES:
         return []
     problems = []
     big = {name: entry
            for name, entry in (latest.get("by_scenario") or {}).items()
-           if (entry.get("n_nodes") or 0) >= GEO_FLOOR_NODES}
+           if (entry.get("n_nodes") or 0) >= FLOOR_NODES}
     if not big:
-        return [f"latest geo entry claims max_nodes="
+        return [f"latest entry claims max_nodes="
                 f"{latest.get('max_nodes')} but records no "
-                f">={GEO_FLOOR_NODES}-node scenario"]
+                f">={FLOOR_NODES}-node scenario"]
     for name, entry in sorted(big.items()):
-        value = entry.get("best_speedup_vs_single_loop")
-        if value is None or value < GEO_SPEEDUP_FLOOR:
+        value = entry.get("worst_events_per_s")
+        if value is None or value < EVENTS_PER_S_FLOOR:
             problems.append(
-                f"{name}: geo engine at {value}x < "
-                f"{GEO_SPEEDUP_FLOOR}x floor over the single-loop "
-                f"reference")
+                f"{name}: engine at {value} events/s < "
+                f"{EVENTS_PER_S_FLOOR:,} floor")
     return problems
 
 
@@ -246,10 +235,6 @@ def main() -> int:
                         metavar="FILE",
                         help="static-bounds trajectory file (default: "
                              "benchmarks/results/BENCH_bounds.json)")
-    parser.add_argument("--geo-path", default=DEFAULT_GEO_PATH,
-                        metavar="FILE",
-                        help="geo-sharding trajectory file (default: "
-                             "benchmarks/results/BENCH_geo.json)")
     parser.add_argument("--threshold", type=float, default=20.0,
                         metavar="PCT",
                         help="allowed regression in percent (default 20)")
@@ -266,8 +251,9 @@ def main() -> int:
               file=sys.stderr)
         return 2
 
-    metrics = RATIO_METRICS + (ABSOLUTE_METRICS if args.absolute else ())
+    metrics = ABSOLUTE_METRICS if args.absolute else ()
     problems, new = check(runs, metrics, args.threshold)
+    problems += check_geo_floor(runs)
     if not runs:
         print("bench_check: trajectory has no entries yet; nothing to "
               "compare")
@@ -298,37 +284,14 @@ def main() -> int:
     for entry in bounds_new:
         print(f"bench_check: NEW {entry} (no earlier baseline; "
               f"becomes one next run)")
-    try:
-        geo_runs = load_runs(args.geo_path)
-    except (OSError, ValueError) as exc:
-        print(f"bench_check: cannot read geo trajectory "
-              f"{args.geo_path}: {exc}", file=sys.stderr)
-        return 2
-    geo_metrics = GEO_RATIO_METRICS + (GEO_ABSOLUTE_METRICS
-                                       if args.absolute else ())
-    geo_problems, geo_new = check(geo_runs, geo_metrics, args.threshold)
-    problems += geo_problems
-    problems += check_geo_floor(geo_runs)
-    if geo_runs:
-        g_latest = geo_runs[-1]
-        print(f"bench_check: {len(geo_runs)} geo entries; latest "
-              f"{g_latest.get('git_sha', '?')} "
-              f"({g_latest.get('date_utc', '?')}, "
-              f"{g_latest.get('cases', 0)} cases, max "
-              f"{g_latest.get('max_nodes', 0)} nodes, best "
-              f"{g_latest.get('best_speedup_vs_single_loop')}x vs "
-              f"single loop)")
-    for entry in geo_new:
-        print(f"bench_check: NEW {entry} (no earlier baseline; "
-              f"becomes one next run)")
     if problems:
         for p in problems:
             print(f"bench_check: FAIL {p}", file=sys.stderr)
         return 1
-    print(f"bench_check: OK (no sim/geo metric more than "
-          f"{args.threshold:.0f}% below baseline; bounds sound, no "
-          f"tightness more than {args.threshold:.0f}% above baseline; "
-          f"geo engine above the {GEO_SPEEDUP_FLOOR}x floor)")
+    print(f"bench_check: OK (golden traces matched; >= "
+          f"{FLOOR_NODES}-node deployments above the "
+          f"{EVENTS_PER_S_FLOOR:,} events/s floor; bounds sound, no "
+          f"tightness more than {args.threshold:.0f}% above baseline)")
     return 0
 
 

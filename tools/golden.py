@@ -22,10 +22,12 @@ Usage::
     python -m tools.golden --max-nodes 99  # check rows below 100 nodes
     python -m tools.golden --write         # regenerate the table
 
-Regenerating the table is a deliberate act: a changed fingerprint means
-the runtime now behaves differently, and the regeneration belongs in
-CHANGES.md with the reason. ``--write`` runs every row on each runtime
-engine and refuses to write unless all engines agree row for row.
+The table was first generated while the runtime still had four engine
+variants (the unmemoised reference path, the per-message fast path, the
+batched core and, for geo rows, the region-sharded core); all of them
+agreed on every row. Regenerating it is a deliberate act: a changed
+fingerprint means the runtime now behaves differently, and the
+regeneration belongs in CHANGES.md with the reason.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN_PATH = os.path.join(REPO, "tests", "golden", "traces.json")
@@ -52,16 +54,8 @@ GEO_CASES = ((3, 20, (42, 43)), (6, 20, (42,)), (4, 30, (42, 43)))
 GEO_STRETCH = 10
 GEO_PERIODS = 8
 #: The model-checker row: commission on the smallest deployment with
-#: two deliveries held back (delivery index, extra delay in us).
+#: three deliveries held back (delivery index, extra delay in us).
 MC_DELIVERIES = ((2, 500), (9, 3_000), (40, 12_000))
-
-#: Engine variants a regeneration cross-checks (config overrides).
-ENGINES = {
-    "reference": {"runtime_fastpath": False},
-    "fastpath": {},
-    "batched": {"batched_core": True},
-}
-GEO_ENGINES = {"sharded": {"batched_core": True, "sharded_core": True}}
 
 
 def matrix() -> List[dict]:
@@ -93,7 +87,8 @@ def matrix() -> List[dict]:
     rows.append({"id": "mc:pipeline:commission:full", "workload": "pipeline",
                  "topology": "fullmesh:4", "f": 1, "seed": 7,
                  "periods": 17, "trace_mode": "full", "fault": "commission",
-                 "fault_at": 40_000, "deliveries": MC_DELIVERIES})
+                 "fault_at": 40_000,
+                 "deliveries": [list(d) for d in MC_DELIVERIES]})
     for name in sorted(os.listdir(CORPUS_DIR)):
         if name.endswith(".json"):
             rows.append({"id": f"corpus:{name[:-len('.json')]}",
@@ -116,53 +111,53 @@ def _corpus_meta(row: dict) -> dict:
         return json.load(f)
 
 
-def _system(workload: str, topology: str, f: int, seed: int,
-            trace_mode: str, stretch: int = 1, overrides=None):
+def prepared(row: dict):
+    """A prepared system on the deployment a row describes."""
     from repro import BTRConfig, BTRSystem
     from repro.cli import WORKLOADS, make_topology
     from repro.workload import stretched_workload
 
-    graph = WORKLOADS[workload]()
-    if stretch > 1:
-        graph = stretched_workload(graph, stretch)
-    config = BTRConfig(f=f, seed=seed, trace_mode=trace_mode,
-                       **(overrides or {}))
-    system = BTRSystem(graph, make_topology(topology, 1e8), config)
+    spec = row
+    if "corpus" in row:
+        spec = _corpus_meta(row)["meta"]
+    graph = WORKLOADS[spec["workload"]]()
+    if row.get("stretch", 1) > 1:
+        graph = stretched_workload(graph, row["stretch"])
+    config = BTRConfig(f=spec["f"], seed=spec["seed"],
+                       trace_mode=row["trace_mode"])
+    system = BTRSystem(graph, make_topology(spec["topology"], 1e8), config)
     system.prepare()
     return system
 
 
-def run_row(row: dict, overrides=None) -> Tuple[str, int]:
-    """Run one row; returns ``(trace fingerprint, events executed)``."""
+def execute(system, row: dict):
+    """Run a row on its prepared system; returns the RunResult."""
     from repro.faults import SingleFaultAdversary, stage
     from repro.mc import DeliveryPerturbation, replay_counterexample
-    from repro.perf import trace_fingerprint
 
     if "corpus" in row:
-        payload = _corpus_meta(row)
-        meta = payload["meta"]
-        system = _system(meta["workload"], meta["topology"], meta["f"],
-                         meta["seed"], row["trace_mode"],
-                         overrides=overrides)
-        _, result = replay_counterexample(system, payload)
-        return trace_fingerprint(result.trace), system.sim.events_executed
-    system = _system(row["workload"], row["topology"], row["f"],
-                     row["seed"], row["trace_mode"],
-                     stretch=row.get("stretch", 1), overrides=overrides)
+        return replay_counterexample(system, _corpus_meta(row))[1]
     hook = None
     if "deliveries" in row:
         hook = DeliveryPerturbation(tuple(tuple(d)
                                           for d in row["deliveries"]))
     if "scenario" in row:
         scenario = stage(row["scenario"], system)
-        result = system.run(row["periods"], adversary=scenario.script,
-                            link_script=scenario.link_script or None,
-                            delivery_hook=hook)
-    else:
-        adversary = SingleFaultAdversary(
-            at=row.get("fault_at", E1_FAULT_AT), kind=row["fault"])
-        result = system.run(row["periods"], adversary=adversary,
-                            delivery_hook=hook)
+        return system.run(row["periods"], adversary=scenario.script,
+                          link_script=scenario.link_script or None,
+                          delivery_hook=hook)
+    adversary = SingleFaultAdversary(at=row.get("fault_at", E1_FAULT_AT),
+                                     kind=row["fault"])
+    return system.run(row["periods"], adversary=adversary,
+                      delivery_hook=hook)
+
+
+def run_row(row: dict) -> Tuple[str, int]:
+    """Run one row; returns ``(trace fingerprint, events executed)``."""
+    from repro.perf import trace_fingerprint
+
+    system = prepared(row)
+    result = execute(system, row)
     return trace_fingerprint(result.trace), system.sim.events_executed
 
 
@@ -188,23 +183,13 @@ def check(rows: List[dict], max_nodes: Optional[int] = None) -> List[str]:
 
 
 def generate() -> List[dict]:
-    """Run the matrix on every engine; rows only where all agree."""
+    """Run the matrix; one row per run, results included."""
     rows = []
     for spec in matrix():
-        engines: Dict[str, dict] = dict(ENGINES)
-        if spec.get("topology", "").startswith("geo:"):
-            engines.update(GEO_ENGINES)
-        outcomes = {name: run_row(spec, overrides)
-                    for name, overrides in engines.items()}
-        distinct = set(outcomes.values())
-        if len(distinct) != 1:
-            raise SystemExit(f"{spec['id']}: engines disagree: {outcomes}")
-        fingerprint, events = distinct.pop()
+        fingerprint, events = run_row(spec)
         row = dict(spec, fingerprint=fingerprint, events_executed=events)
-        if "deliveries" in row:
-            row["deliveries"] = [list(d) for d in row["deliveries"]]
-        print(f"{row['id']}: {fingerprint[:12]} events {events} "
-              f"({', '.join(sorted(engines))} agree)", flush=True)
+        print(f"{row['id']}: {fingerprint[:12]} events {events}",
+              flush=True)
         rows.append(row)
     return rows
 
@@ -212,7 +197,8 @@ def generate() -> List[dict]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--write", action="store_true",
-                        help="regenerate the table (all engines must agree)")
+                        help="regenerate the table (record why in "
+                             "CHANGES.md)")
     parser.add_argument("--max-nodes", type=int, default=None,
                         help="check only rows with at most this many nodes")
     args = parser.parse_args(argv)

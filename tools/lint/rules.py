@@ -48,16 +48,14 @@ because offline planning cost is precisely what it measures.
 ``set-iteration`` and ``float-eq`` apply everywhere;
 ``unsorted-node-iteration`` is scoped to ``repro/mc``, ``repro/faults``,
 ``repro/fuzz`` (campaign reports leak iteration order the same way
-``mc`` reports do) and the batched core (whose emission plans feed the
-event queue directly), ``engine-schedule-bypass`` to the layers that
-hold a simulator reference but do not own the engine (``repro/core``,
-``repro/mc``, ``repro/obs``, ``repro/faults``, ``repro/fuzz``) plus the
-batched core's sanctioned transmit paths (which carry pragmas), and
-``allocation-in-loop`` to the batched-core hot modules
-(``repro/perf/batchcore``, ``repro/sim/message``). The region-sharded
-core (``repro/perf/shardcore``) sits in every one of those scopes plus
-``int-time``: its window loops are the innermost loops of a sharded
-run, and its horizon arithmetic must stay in integer microseconds.
+``mc`` reports do) and the batched emitters (whose emission plans feed
+the event queue directly), ``engine-schedule-bypass`` to the layers
+that hold a simulator reference but do not own the engine
+(``repro/core``, ``repro/mc``, ``repro/obs``, ``repro/faults``,
+``repro/fuzz``) plus the batched emitters' sanctioned transmit paths
+(which carry pragmas), ``allocation-in-loop`` to the batched hot
+modules (``repro/perf/batchcore``, ``repro/sim/message``), and
+``float-time-arithmetic`` to the static bounds analyzer.
 ``builtin-hash`` applies to the whole ``repro`` package.
 """
 
@@ -73,17 +71,15 @@ RESTRICTED_FRAGMENTS = ("repro/sim/", "repro/core/", "repro/perf/",
                         "repro/obs/", "repro/mc/", "repro/fuzz/")
 #: Layers where node-id iteration order leaks into campaign reports.
 NODE_ORDER_FRAGMENTS = ("repro/mc/", "repro/faults/",
-                        "repro/perf/batchcore", "repro/perf/shardcore",
-                        "repro/fuzz/")
+                        "repro/perf/batchcore", "repro/fuzz/")
 #: Layers that hold a simulator reference but do not own the engine.
 SCHEDULE_CLIENT_FRAGMENTS = ("repro/core/", "repro/mc/", "repro/obs/",
                              "repro/faults/", "repro/perf/batchcore",
-                             "repro/perf/shardcore", "repro/fuzz/")
+                             "repro/fuzz/")
 #: Hot-path modules whose steady-state loops must not allocate.
-HOT_LOOP_FRAGMENTS = ("repro/perf/batchcore", "repro/perf/shardcore",
-                      "repro/sim/message")
+HOT_LOOP_FRAGMENTS = ("repro/perf/batchcore", "repro/sim/message")
 #: Modules whose time arithmetic must stay in integer microseconds.
-INT_TIME_FRAGMENTS = ("repro/verify/bounds", "repro/perf/shardcore")
+INT_TIME_FRAGMENTS = ("repro/verify/bounds",)
 #: Sanctioned wrapper modules, exempt from the scoped rules.
 EXEMPT_SUFFIXES = ("repro/sim/time.py", "repro/sim/random.py",
                    "repro/sim/clock.py", "repro/perf/timing.py")

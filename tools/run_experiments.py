@@ -23,12 +23,12 @@ trajectories land next to the report:
 * ``BENCH_obs.json`` — aggregated recovery-timeline observability
   (per-fault-kind phase spans, phase-sum integrity, dropped-message
   counters) from the ``obs_stats.jsonl`` stream;
-* ``BENCH_sim.json`` — the *tracked* online-runtime trajectory: one
-  entry appended per suite run (git sha, date, per-scenario events/sec
-  and speedups, trace byte-identity verdicts) aggregated from the
-  ``sim_stats.jsonl`` stream that E17/E19 append to. Unlike the other
-  BENCH files this one is committed, so ``tools/bench_check.py`` can
-  fail CI on regressions against the baseline entries;
+* ``BENCH_sim.json`` — the *tracked* engine-throughput trajectory: one
+  entry appended per suite run that exercised E19 (git sha, date,
+  per-deployment events/sec, sweep and pool columns, golden-trace
+  verdicts) aggregated from the ``sim_stats.jsonl`` stream. Unlike the
+  other BENCH files this one is committed, so ``tools/bench_check.py``
+  can fail CI on a golden mismatch or on throughput below the floor;
 * ``BENCH_mc.json`` — aggregated bounded model-checking results
   (campaigns by expectation, paths explored, dedup hit-rate, pruning
   ratio, states/sec, replay-confirmation counts) from the
@@ -42,14 +42,10 @@ trajectories land next to the report:
   grid (soundness verdicts and per-class tightness ratios per
   scenario) aggregated from the ``bounds_stats.jsonl`` stream. Like
   ``BENCH_sim.json`` it is committed, so ``tools/bench_check.py`` can
-  fail CI when soundness breaks or tightness regresses;
-* ``BENCH_geo.json`` — the *tracked* geo-sharding trajectory: one
-  entry appended per suite run that exercised E22 (per-deployment
-  wall clocks for the single-loop reference vs the sharded geo
-  engine, pool sweep speedups, byte-identity verdicts) aggregated
-  from the ``geo_stats.jsonl`` stream. Committed and gated by
-  ``tools/bench_check.py``, including the >=2x speedup floor on the
-  >=100-node deployment.
+  fail CI when soundness breaks or tightness regresses.
+
+``BENCH_geo.json`` and ``geo_stats.jsonl`` are the frozen record of the
+retired region-sharding experiment (E22); nothing appends to them.
 
 Usage:  python tools/run_experiments.py [--jobs N] [--only SUBSTR]
                 [--cache DIR | --no-cache] [--skip-run] [--skip-verify]
@@ -74,7 +70,6 @@ SIM_STATS = os.path.join(RESULTS, "sim_stats.jsonl")
 MC_STATS = os.path.join(RESULTS, "mc_stats.jsonl")
 FUZZ_STATS = os.path.join(RESULTS, "fuzz_stats.jsonl")
 BOUNDS_STATS = os.path.join(RESULTS, "bounds_stats.jsonl")
-GEO_STATS = os.path.join(RESULTS, "geo_stats.jsonl")
 CACHE_ENV_VAR = "REPRO_STRATEGY_CACHE"
 DEFAULT_CACHE = os.path.join(REPO, "benchmarks", ".strategy_cache")
 
@@ -99,12 +94,10 @@ ORDER = [
     "e14_rogue_clock",
     "e15_resource_dependence",
     "e16_link_faults",
-    "e17_online_throughput",
     "e18_model_check",
     "e19_batched_core",
     "e20_fuzz",
     "e21_static_bounds",
-    "e22_geo_shards",
 ]
 
 
@@ -154,8 +147,8 @@ def benchmark_files(only: str) -> list:
     """Benchmark shards, optionally filtered by ``--only``.
 
     ``only`` is a comma-separated list of substrings; a file runs when
-    any of them matches its basename (``--only e17,e19`` reruns just the
-    online-runtime pair).
+    any of them matches its basename (``--only e18,e19`` reruns just the
+    model-checking and engine-throughput experiments).
     """
     files = sorted(glob.glob(os.path.join(REPO, "benchmarks", "test_*.py")))
     needles = [n.strip() for n in only.split(",") if n.strip()]
@@ -279,14 +272,13 @@ def aggregate_obs_stats() -> dict:
 
 
 def aggregate_sim_stats() -> dict:
-    """Collapse E17/E19's per-case jsonl into one online-runtime summary.
+    """Collapse E19's per-case jsonl into one engine-throughput summary.
 
-    Groups per scenario@mesh: wall times and speedups (best + worst
-    across seeds, so a lucky run can't mask a regression), online
-    events/sec for the fast path (E17) and the batched core + sweep
-    (E19), verify-memo effectiveness, and whether *every* case's
-    full-mode trace was byte-identical across configurations — the one
-    invariant neither optimisation layer is allowed to trade away.
+    Groups per scenario@deployment: events/sec (best + worst across
+    seeds, so a lucky run can't mask a regression), sweep events/sec,
+    pool speedups with the core count that produced them, verify-memo
+    effectiveness, and whether *every* case reproduced the golden trace
+    table — the invariant the engine is never allowed to trade away.
     """
     records = _read_jsonl(SIM_STATS)
     by_scenario: dict = {}
@@ -296,44 +288,36 @@ def aggregate_sim_stats() -> dict:
             key = f"{key}@n{r['n_nodes']}"
         entry = by_scenario.setdefault(key, {
             "cases": 0,
+            "n_nodes": r.get("n_nodes", 0),
             "sim_events": 0,
-            "best_speedup_full": None,
-            "worst_speedup_full": None,
-            "best_speedup_milestones": None,
-            "worst_speedup_milestones": None,
-            "best_speedup_batched": None,
-            "worst_speedup_batched": None,
-            "best_events_per_s_on": 0,
-            "best_events_per_s_batched": 0,
-            "best_sweep_events_per_s": 0,
-            "verifies_off": 0,
-            "verifies_on": 0,
+            "best_events_per_s": None,
+            "worst_events_per_s": None,
+            "best_sweep_events_per_s": None,
+            "best_pool_speedup": None,
+            "pool_cores": None,
             "memo_hits": 0,
             "memo_misses": 0,
         })
         entry["cases"] += 1
         entry["sim_events"] = max(entry["sim_events"],
                                   r.get("sim_events", 0))
-        for col in ("speedup_full", "speedup_milestones",
-                    "speedup_batched"):
+        rate = r.get("events_per_s")
+        if rate is not None:
+            best, worst = entry["best_events_per_s"], \
+                entry["worst_events_per_s"]
+            entry["best_events_per_s"] = (rate if best is None
+                                          else max(best, rate))
+            entry["worst_events_per_s"] = (rate if worst is None
+                                           else min(worst, rate))
+        for col, best in (("sweep_events_per_s", "best_sweep_events_per_s"),
+                          ("pool_speedup", "best_pool_speedup")):
             value = r.get(col)
-            if value is None:
-                continue
-            best, worst = "best_" + col, "worst_" + col
-            entry[best] = (value if entry[best] is None
-                           else max(entry[best], value))
-            entry[worst] = (value if entry[worst] is None
-                            else min(entry[worst], value))
-        entry["best_events_per_s_on"] = max(
-            entry["best_events_per_s_on"], r.get("events_per_s_on") or 0)
-        entry["best_events_per_s_batched"] = max(
-            entry["best_events_per_s_batched"],
-            r.get("events_per_s_batched") or 0)
-        entry["best_sweep_events_per_s"] = max(
-            entry["best_sweep_events_per_s"],
-            r.get("sweep_events_per_s") or 0)
-        for col in ("verifies_off", "verifies_on",
-                    "memo_hits", "memo_misses"):
+            if value is not None:
+                entry[best] = (value if entry[best] is None
+                               else max(entry[best], value))
+        if r.get("pool_speedup") is not None:
+            entry["pool_cores"] = r.get("cores")
+        for col in ("memo_hits", "memo_misses"):
             entry[col] += r.get(col, 0)
     for entry in by_scenario.values():
         lookups = entry["memo_hits"] + entry["memo_misses"]
@@ -341,14 +325,10 @@ def aggregate_sim_stats() -> dict:
                                   if lookups else None)
     return {
         "cases": len(records),
-        "all_traces_identical": all(r.get("traces_identical")
-                                    for r in records) if records else None,
-        "best_speedup_milestones": max(
-            (r.get("speedup_milestones") or 0 for r in records),
-            default=None),
-        "best_speedup_batched": max(
-            (r.get("speedup_batched") or 0 for r in records),
-            default=None),
+        "golden_match": all(r.get("golden_match") for r in records)
+        if records else None,
+        "max_nodes": max((r.get("n_nodes", 0) for r in records),
+                         default=0),
         "by_scenario": {k: by_scenario[k] for k in sorted(by_scenario)},
         "experiments_seen": sorted({r.get("experiment", "?")
                                     for r in records}),
@@ -477,71 +457,6 @@ def aggregate_bounds_stats() -> dict:
     }
 
 
-def aggregate_geo_stats() -> dict:
-    """Collapse E22's per-case jsonl into one geo-sharding summary.
-
-    Groups per deployment (``geo:RxM@nN``): wall clocks and speedups of
-    the sharded geo engine over the single-loop reference (best + worst
-    across cases), the in-process shard ratio, pool sweep speedups with
-    the core count that produced them, and whether every case's full
-    traces were byte-identical across shard counts — the invariant the
-    sharded executor is never allowed to trade away.
-    """
-    records = _read_jsonl(GEO_STATS)
-    by_scenario: dict = {}
-    for r in records:
-        key = r.get("scenario", "?")
-        if r.get("n_nodes"):
-            key = f"{key}@n{r['n_nodes']}"
-        entry = by_scenario.setdefault(key, {
-            "cases": 0,
-            "n_nodes": r.get("n_nodes", 0),
-            "sim_events": 0,
-            "best_speedup_vs_single_loop": None,
-            "worst_speedup_vs_single_loop": None,
-            "best_shard_ratio": None,
-            "best_pool_speedup": None,
-            "pool_cores": None,
-            "lookahead_us": r.get("lookahead_us"),
-            "shard_counts": r.get("shard_counts", []),
-        })
-        entry["cases"] += 1
-        entry["sim_events"] = max(entry["sim_events"],
-                                  r.get("sim_events", 0))
-        value = r.get("speedup_vs_single_loop")
-        if value is not None:
-            best = entry["best_speedup_vs_single_loop"]
-            worst = entry["worst_speedup_vs_single_loop"]
-            entry["best_speedup_vs_single_loop"] = (
-                value if best is None else max(best, value))
-            entry["worst_speedup_vs_single_loop"] = (
-                value if worst is None else min(worst, value))
-        ratio = r.get("shard_ratio")
-        if ratio is not None:
-            best = entry["best_shard_ratio"]
-            entry["best_shard_ratio"] = (ratio if best is None
-                                         else max(best, ratio))
-        pool = r.get("pool_speedup")
-        if pool is not None:
-            best = entry["best_pool_speedup"]
-            entry["best_pool_speedup"] = (pool if best is None
-                                          else max(best, pool))
-            entry["pool_cores"] = r.get("cores")
-    return {
-        "cases": len(records),
-        "all_traces_identical": all(r.get("traces_identical")
-                                    for r in records) if records else None,
-        "max_nodes": max((r.get("n_nodes", 0) for r in records),
-                         default=0),
-        "best_speedup_vs_single_loop": max(
-            (r.get("speedup_vs_single_loop") or 0 for r in records),
-            default=None),
-        "by_scenario": {k: by_scenario[k] for k in sorted(by_scenario)},
-        "experiments_seen": sorted({r.get("experiment", "?")
-                                    for r in records}),
-    }
-
-
 def write_json(path: str, payload: dict) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
@@ -632,40 +547,6 @@ def update_bounds_trajectory(path: str, aggregate: dict) -> bool:
     return True
 
 
-def update_geo_trajectory(path: str, aggregate: dict) -> bool:
-    """Append this suite run's geo-sharding aggregate to the tracked
-    trajectory.
-
-    Mirrors :func:`update_sim_trajectory`: ``BENCH_geo.json`` is
-    committed, ``{"schema": 1, "runs": [entry, ...]}``, one entry per
-    suite run that actually exercised E22 (smoke or full — smoke
-    entries carry the byte-identity verdict for their small deployment
-    and simply have no >=100-node scenario for the floor to bite on).
-    Returns True when an entry was appended.
-    """
-    if not aggregate.get("cases"):
-        return False
-    try:
-        with open(path) as f:
-            existing = json.load(f)
-    except (OSError, ValueError):
-        existing = None
-    if isinstance(existing, dict) and isinstance(existing.get("runs"),
-                                                 list):
-        runs = existing["runs"]
-    else:
-        runs = []
-    from datetime import datetime, timezone
-    runs.append({
-        "git_sha": git_sha(),
-        "date_utc": datetime.now(timezone.utc)
-        .strftime("%Y-%m-%dT%H:%M:%SZ"),
-        **aggregate,
-    })
-    write_json(path, {"schema": 1, "runs": runs})
-    return True
-
-
 def collate_report(only: str) -> int:
     missing = []
     sections = []
@@ -705,7 +586,7 @@ def main() -> int:
     parser.add_argument("--only", default="", metavar="SUBSTRS",
                         help="run only benchmark files whose name "
                              "contains any of the comma-separated "
-                             "substrings (e.g. e7 or e17,e19)")
+                             "substrings (e.g. e7 or e18,e19)")
     parser.add_argument("--cache", default=DEFAULT_CACHE, metavar="DIR",
                         help="shared strategy cache directory "
                              "(default: benchmarks/.strategy_cache)")
@@ -738,7 +619,7 @@ def main() -> int:
         os.makedirs(RESULTS, exist_ok=True)
         # Fresh planning/obs/sim/mc/fuzz-stats streams for this run.
         for stream in (PLANNER_STATS, OBS_STATS, SIM_STATS, MC_STATS,
-                       FUZZ_STATS, BOUNDS_STATS, GEO_STATS):
+                       FUZZ_STATS, BOUNDS_STATS):
             with open(stream, "w"):
                 pass
         print(f"running {len(files)} benchmark shards "
@@ -766,17 +647,11 @@ def main() -> int:
         if bounds_appended:
             print("BENCH_bounds.json: trajectory entry appended "
                   "(tracked file — commit it to extend the baseline)")
-        geo_appended = update_geo_trajectory(
-            os.path.join(RESULTS, "BENCH_geo.json"),
-            aggregate_geo_stats())
-        if geo_appended:
-            print("BENCH_geo.json: trajectory entry appended "
-                  "(tracked file — commit it to extend the baseline)")
         print(f"suite: {suite['total_wall_s']}s wall over "
               f"{len(files)} shards; perf trajectory in "
               f"BENCH_suite.json / BENCH_planner.json / "
               f"BENCH_obs.json / BENCH_sim.json / BENCH_mc.json / "
-              f"BENCH_fuzz.json / BENCH_bounds.json / BENCH_geo.json")
+              f"BENCH_fuzz.json / BENCH_bounds.json")
         failed = [s for s in suite["experiments"] if s["returncode"] != 0]
         if failed:
             print("benchmark shards failed: "
