@@ -36,9 +36,10 @@ PLANNER_STATS_PATH = os.path.join(RESULTS_DIR, "planner_stats.jsonl")
 #: aggregates it into ``BENCH_obs.json`` after a suite run.
 OBS_STATS_PATH = os.path.join(RESULTS_DIR, "obs_stats.jsonl")
 
-#: Per-run online-runtime stats (events/sec, HMAC counts, memo hit
-#: rates), appended by :func:`record_sim` from the E17 benchmark;
-#: ``tools/run_experiments.py`` aggregates it into ``BENCH_sim.json``.
+#: Per-case engine-throughput stats (events/sec, sweep and pool
+#: columns, memo hits, golden verdicts), appended by :func:`record_sim`
+#: from the E19 benchmark; ``tools/run_experiments.py`` folds it into
+#: the *committed* ``BENCH_sim.json`` trajectory.
 SIM_STATS_PATH = os.path.join(RESULTS_DIR, "sim_stats.jsonl")
 
 #: Per-campaign model-checking stats (paths, dedup hit-rate, pruning
@@ -59,14 +60,6 @@ FUZZ_STATS_PATH = os.path.join(RESULTS_DIR, "fuzz_stats.jsonl")
 #: ``tools/run_experiments.py`` folds it into the *committed*
 #: ``BENCH_bounds.json`` trajectory that ``tools/bench_check.py`` gates.
 BOUNDS_STATS_PATH = os.path.join(RESULTS_DIR, "bounds_stats.jsonl")
-
-#: Per-case geo-sharding stats (wall clocks for the single-loop
-#: reference vs the sharded geo engine, shard window/lookahead
-#: counters, pool sweep speedups, byte-identity verdicts), appended by
-#: :func:`record_geo` from the E22 benchmark; ``tools/run_experiments.py``
-#: folds it into the *committed* ``BENCH_geo.json`` trajectory that
-#: ``tools/bench_check.py`` gates.
-GEO_STATS_PATH = os.path.join(RESULTS_DIR, "geo_stats.jsonl")
 
 
 def harness_cache_dir() -> Optional[str]:
@@ -149,13 +142,6 @@ def record_bounds(row: dict, label: Optional[str] = None) -> None:
     append_jsonl(BOUNDS_STATS_PATH, {"experiment": label, **row})
 
 
-def record_geo(row: dict, label: Optional[str] = None) -> None:
-    """Append one geo-sharding case's stats to the geo stream."""
-    if label is None:
-        label = os.environ.get("PYTEST_CURRENT_TEST", "adhoc").split(" ")[0]
-    append_jsonl(GEO_STATS_PATH, {"experiment": label, **row})
-
-
 def write_result(name: str, text: str) -> None:
     """Persist an experiment's rendered table for EXPERIMENTS.md."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
@@ -194,31 +180,3 @@ def prepared_btr(workload=None, n_nodes: int = 7, f: int = 1,
 def single_fault(kind: str, at: int = FAULT_AT,
                  node: Optional[str] = None) -> SingleFaultAdversary:
     return SingleFaultAdversary(at=at, kind=kind, node=node)
-
-
-def sweep_btr(seeds, scenario: Optional[str] = None, n_periods: int = 40,
-              workload=None, n_nodes: int = 7, f: int = 1,
-              bandwidth: float = 1e8,
-              config: Optional[BTRConfig] = None) -> list:
-    """Run one prepared scenario across ``seeds`` in a single process.
-
-    Thin benchmark-facing wrapper over
-    :func:`repro.perf.batchcore.run_sweep`: the first seed's system is
-    planned through the shared strategy cache (and the in-process
-    prepare memo), the rest are cheap siblings sharing the frozen plan,
-    key directory, and routing memos. Returns the list of
-    :class:`~repro.perf.batchcore.SweepRun` results in seed order.
-    """
-    from repro.perf import run_sweep
-
-    seeds = list(seeds)
-    workload = workload or industrial_workload()
-    topology = full_mesh_topology(n_nodes, bandwidth=bandwidth)
-    config = config or BTRConfig(f=f, seed=seeds[0])
-    if config.cache is None:
-        config = dataclasses.replace(config, cache=harness_cache_dir())
-    config = dataclasses.replace(config, seed=seeds[0])
-    system = BTRSystem(workload, topology, config)
-    system.prepare()
-    record_planning(system)
-    return run_sweep(system, seeds, n_periods, scenario=scenario)

@@ -365,9 +365,9 @@ def stretched_workload(graph: DataflowGraph, factor: int) -> DataflowGraph:
     state sizes) is unchanged, but the period and every flow deadline
     are multiplied by ``factor``. Task WCETs are *not* scaled — compute
     does not slow down because the plant is far away — so stretching
-    strictly adds slack. The geo experiments (E22) use this to place
-    millisecond-deadline CPS workloads on topologies whose inter-region
-    links alone cost several milliseconds.
+    strictly adds slack. The geo deployments (E19's geo rows) use this
+    to place millisecond-deadline CPS workloads on topologies whose
+    inter-region links alone cost several milliseconds.
     """
     if factor < 1:
         raise WorkloadError(f"stretch factor must be >= 1, got {factor}")

@@ -18,9 +18,10 @@ each E* row in both the ``full`` and ``milestones`` trace modes.
 
 Usage::
 
-    python -m tools.golden                 # check every row
-    python -m tools.golden --max-nodes 99  # check rows below 100 nodes
-    python -m tools.golden --write         # regenerate the table
+    python -m tools.golden          # check every row (minutes, ~1 GB)
+    python -m tools.golden --write  # regenerate the table
+
+``tests/test_golden_traces.py`` checks the rows below 100 nodes.
 
 The table was first generated while the runtime still had four engine
 variants (the unmemoised reference path, the per-message fast path, the
@@ -36,7 +37,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN_PATH = os.path.join(REPO, "tests", "golden", "traces.json")
@@ -166,12 +167,10 @@ def load(path: str = GOLDEN_PATH) -> List[dict]:
         return json.load(f)["rows"]
 
 
-def check(rows: List[dict], max_nodes: Optional[int] = None) -> List[str]:
-    """Re-run every row (up to ``max_nodes``); one line per mismatch."""
+def check(rows: List[dict]) -> List[str]:
+    """Re-run every row; one line per mismatch."""
     problems = []
     for row in rows:
-        if max_nodes is not None and nodes_of(row) > max_nodes:
-            continue
         fingerprint, events = run_row(row)
         if (fingerprint, events) != (row["fingerprint"],
                                      row["events_executed"]):
@@ -199,8 +198,6 @@ def main(argv=None) -> int:
     parser.add_argument("--write", action="store_true",
                         help="regenerate the table (record why in "
                              "CHANGES.md)")
-    parser.add_argument("--max-nodes", type=int, default=None,
-                        help="check only rows with at most this many nodes")
     args = parser.parse_args(argv)
     if args.write:
         rows = generate()
@@ -210,7 +207,7 @@ def main(argv=None) -> int:
             f.write("\n")
         print(f"wrote {len(rows)} rows to {GOLDEN_PATH}")
         return 0
-    problems = check(load(), args.max_nodes)
+    problems = check(load())
     for problem in problems:
         print(f"golden: MISMATCH {problem}", file=sys.stderr)
     print(f"golden: {'FAIL' if problems else 'OK'}")
