@@ -316,7 +316,7 @@ def geo_topology(regions: int, nodes_per_region: int,
 
     Every node and intra-region link is tagged with its region; WAN
     links are tagged ``is_wan``. ``wan_latency`` must dominate the
-    intra-region ``propagation`` — the builder enforces a 10x
+    intra-region ``propagation`` — ``geo_topology`` enforces a 10x
     separation floor rather than silently producing a "geo" topology
     whose regions are as close as their members.
 

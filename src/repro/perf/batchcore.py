@@ -3,7 +3,7 @@
 The runtime (:class:`~repro.core.runtime.system.BTRSystem`) executes on
 one event engine; this module holds the parts of it that remove the
 *per-message heap event* for the traffic that dominates steady state,
-plus the sweep drivers that reuse one prepared system across seeds:
+plus the sweep functions that reuse one prepared system across seeds:
 
 * **fan-out batching** — a heartbeat flood or evidence broadcast emits N
   single-hop copies whose deliveries would be scheduled back-to-back

@@ -82,7 +82,7 @@ class Link:
         #: flat deployments and for inter-region (WAN) links.
         self.region = region
         #: True for inter-region links; their latency dominates the
-        #: intra-region delays (the geo builder enforces that).
+        #: intra-region delays (``geo_topology`` enforces that).
         self.is_wan = is_wan
         self._lanes: Dict[Tuple[str, MessageKind], Lane] = {}
         self._allocated = 0.0
