@@ -6,6 +6,11 @@ taken from the planner before its routing, dataflow and placement
 lookups were optimised; any change that alters a plan, a route
 tie-break or the serialization shows up here. A deliberate planner
 change bumps ``PLANNER_VERSION`` and regenerates this table.
+
+``GOLDEN_MEMO`` pins the symmetry-memoised strategies
+(``BTRConfig(symmetry_memo=True)``) the same way. Their hashes were
+taken from the process fan-out builder that first hosted the memo, so
+the memo's level loop reproduces that builder byte for byte.
 """
 
 import hashlib
@@ -54,17 +59,46 @@ GOLDEN = {
         "2f8a5ef2ef5387ff1b5a2c59dd04d8aaf63a465b5abd570d09c73c2136d0d29b"),
 }
 
+#: Same layout as ``GOLDEN``, prepared with ``symmetry_memo=True``.
+GOLDEN_MEMO = {
+    "industrial-fullmesh:6-f1-memo": (
+        wl.industrial_workload,
+        lambda: net.full_mesh_topology(6, bandwidth=BANDWIDTH), 1,
+        5, 599599,
+        "6f662f348560fa583a0ba72888a7b526e2b56fcc48269fa85bb3c1ac57342cdf"),
+    "industrial-fullmesh:6-f2-memo": (
+        wl.industrial_workload,
+        lambda: net.full_mesh_topology(6, bandwidth=BANDWIDTH), 2,
+        11, 774686,
+        "a9da4b94b39dd1f9a3e11a5f0f100545ef5c8b22c6d1f1a4ee576fcc3cf09de1"),
+    "industrial-fullmesh:10-f2-memo": (
+        wl.industrial_workload,
+        lambda: net.full_mesh_topology(10, bandwidth=BANDWIDTH), 2,
+        37, 773662,
+        "efa68a86932dc9621873e9ee69cbf3ef924bbe241f5f26eea6559c8d1b3e9284"),
+}
+
 
 def test_planner_version_matches_the_golden_table():
     assert PLANNER_VERSION == 2
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_strategy_is_byte_identical_to_golden(name):
-    workload, topology, f, plans, budget_us, sha256 = GOLDEN[name]
-    system = repro.BTRSystem(workload(), topology(), repro.BTRConfig(f=f))
+def prepared_row(row, memo=False):
+    """(plans, budget µs, strategy SHA-256) of one table row."""
+    workload, topology, f = row[:3]
+    system = repro.BTRSystem(workload(), topology(),
+                             repro.BTRConfig(f=f, symmetry_memo=memo))
     budget = system.prepare()
     digest = hashlib.sha256(
         strategy_to_json(system.strategy).encode()).hexdigest()
-    assert (len(system.strategy), budget.total_us, digest) \
-        == (plans, budget_us, sha256)
+    return len(system.strategy), budget.total_us, digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_strategy_is_byte_identical_to_golden(name):
+    assert prepared_row(GOLDEN[name]) == GOLDEN[name][3:]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MEMO))
+def test_memo_strategy_is_byte_identical_to_golden(name):
+    assert prepared_row(GOLDEN_MEMO[name], memo=True) == GOLDEN_MEMO[name][3:]
