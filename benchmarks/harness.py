@@ -80,13 +80,10 @@ def harness_cache_dir() -> Optional[str]:
 
 def record_planning(system: BTRSystem, label: Optional[str] = None) -> None:
     """Append one prepare()'s planning stats to the jsonl stream."""
-    stats = getattr(system, "plan_stats", None)
-    if stats is None:
-        return
     if label is None:
         label = os.environ.get("PYTEST_CURRENT_TEST", "adhoc").split(" ")[0]
     append_jsonl(PLANNER_STATS_PATH, {"experiment": label,
-                                      **stats.to_dict()})
+                                      **system.plan_stats.to_dict()})
 
 
 def record_obs(result, label: Optional[str] = None,
@@ -162,7 +159,7 @@ def prepared_btr(workload=None, n_nodes: int = 7, f: int = 1,
     """A prepared BTR system, planned through the shared strategy cache.
 
     The cache key covers every planning input (workload, topology, f,
-    seed, planner config and version), so threading one cache through
+    planner config and version), so threading one cache through
     all benchmarks is safe: experiments that reuse a scenario hit, every
     other configuration misses and plans as before.
     """

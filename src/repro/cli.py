@@ -148,10 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--f", type=int, default=1, dest="f",
                        help="fault budget")
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes for offline planning "
-                            "(0 = all cores; the strategy is "
-                            "byte-identical for every value)")
         p.add_argument("--cache", metavar="DIR", default=None,
                        help="strategy cache directory (default: "
                             "$REPRO_STRATEGY_CACHE if set)")
@@ -377,9 +373,8 @@ def config_from_args(args) -> BTRConfig:
         else:
             from .perf import default_cache_dir
             cache = default_cache_dir()
-    return BTRConfig(f=args.f, seed=args.seed, planner_jobs=args.jobs,
-                     cache=cache, symmetry_memo=args.memo,
-                     trace_mode=args.trace_mode)
+    return BTRConfig(f=args.f, seed=args.seed, cache=cache,
+                     symmetry_memo=args.memo, trace_mode=args.trace_mode)
 
 
 def cmd_plan(args) -> int:
@@ -408,15 +403,13 @@ def cmd_plan(args) -> int:
           f"switch {to_seconds(budget.switch_us):.3f}s, "
           f"settling {to_seconds(budget.settling_us):.3f}s)")
     stats = system.plan_stats
-    if stats is not None:
-        if stats.cache_hit:
-            how = f"cache hit ({stats.cache_key[:12]})"
-        else:
-            how = (f"{stats.plans_computed} computed"
-                   + (f", {stats.plans_memoised} memoised"
-                      if stats.plans_memoised else "")
-                   + f", jobs={stats.jobs}")
-        print(f"planning: {stats.wall_s:.3f}s wall ({how})")
+    if stats.cache_hit:
+        how = f"cache hit ({stats.cache_key[:12]})"
+    else:
+        how = (f"{stats.plans_computed} computed"
+               + (f", {stats.plans_memoised} memoised"
+                  if stats.plans_memoised else ""))
+    print(f"planning: {stats.wall_s:.3f}s wall ({how})")
     if args.export:
         from .core.planner import strategy_to_json
         with open(args.export, "w") as f:
@@ -513,7 +506,7 @@ def cmd_verify(args) -> int:
         lane_model = system.lane_model
         budget = system.budget
         origin = "freshly planned"
-        if system.plan_stats is not None and system.plan_stats.cache_hit:
+        if system.plan_stats.cache_hit:
             origin = "from cache"
 
     report = verify_strategy(strategy, topology, router=router,

@@ -1,4 +1,6 @@
-"""The offline planner (§4.1): augmentation, placement, plans, strategies."""
+"""The offline planner (§4.1): augmentation, placement, plans, strategies,
+and the symmetry memo that plans one pattern per size on symmetric
+topologies."""
 
 from . import naming
 from .augment import AugmentConfig, augment, replication_overhead
@@ -15,11 +17,13 @@ from .serialize import (
 )
 from .strategy import (
     PLANNER_VERSION,
+    PlanningStats,
     Strategy,
     StrategyConfig,
     build_strategy,
     strategy_candidates,
 )
+from .symmetry import candidates_symmetric, pattern_permutation, rename_plan
 
 __all__ = [
     "naming",
@@ -42,8 +46,12 @@ __all__ = [
     "strategy_to_dict",
     "strategy_to_json",
     "PLANNER_VERSION",
+    "PlanningStats",
     "Strategy",
     "StrategyConfig",
     "build_strategy",
     "strategy_candidates",
+    "candidates_symmetric",
+    "pattern_permutation",
+    "rename_plan",
 ]

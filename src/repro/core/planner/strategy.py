@@ -11,12 +11,16 @@ assignment so transitions move as little state as possible (toggled by
 The strategy is computed entirely offline ("choosing the strategy offline
 seems safer than dynamic rescheduling at runtime") and a copy is installed
 on every node; lookups at runtime are pure dictionary reads.
+
+:func:`build_strategy` is the one builder. With ``memo=True`` on a
+node-transitive candidate set it plans one canonical pattern per size and
+renames it onto the siblings (:mod:`repro.core.planner.symmetry`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 from ...faults.patterns import (
     FaultPattern,
@@ -31,6 +35,7 @@ from .augment import AugmentConfig
 from .distance import PlanDistance, plan_distance
 from .placement import PlacementConfig
 from .plan import Plan, build_plan
+from .symmetry import candidates_symmetric, pattern_permutation, rename_plan
 
 
 #: Version of the planning algorithm itself. Any change that can alter
@@ -39,6 +44,31 @@ from .plan import Plan, build_plan
 #: on-disk strategy cache (:mod:`repro.perf.cache`) keys on it, so a
 #: bump invalidates every cached strategy.
 PLANNER_VERSION = 2
+
+
+@dataclass
+class PlanningStats:
+    """What one strategy construction cost and how it was satisfied."""
+
+    plans_total: int = 0
+    #: Plans computed from scratch (augment + place + synthesize).
+    plans_computed: int = 0
+    #: Plans derived by symmetry renaming.
+    plans_memoised: int = 0
+    #: Whether the memo was asked for and the candidate set passed the
+    #: symmetry check.
+    symmetric: bool = False
+    #: Whether the strategy came out of the on-disk cache.
+    cache_hit: bool = False
+    cache_key: Optional[str] = None
+    #: Corrupt cache entries quarantined during the lookup.
+    cache_quarantined: int = 0
+    #: Wall-clock planning time (filled by the caller, which owns the
+    #: stopwatch — the planner never reads the clock).
+    wall_s: float = 0.0
+
+    def to_dict(self) -> Dict[str, Any]:
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -186,19 +216,34 @@ def build_strategy(
     lane_model: Optional[LaneModel] = None,
     config: Optional[StrategyConfig] = None,
     augment_config: Optional[AugmentConfig] = None,
+    memo: bool = False,
+    stats: Optional[PlanningStats] = None,
 ) -> Strategy:
     """Compute plans for every fault pattern of size ≤ f. Raises
     :class:`PlanningError` if any anticipated pattern is unschedulable even
-    after shedding."""
+    after shedding.
+
+    With ``memo=True`` and a symmetric candidate set, only the first
+    pattern of each size is planned; its siblings get that plan under a
+    node renaming. ``stats``, when given, records what was computed."""
     if f < 0:
         raise ValueError("f must be >= 0")
     config = config or StrategyConfig()
     lane_model = lane_model or LaneModel(topology)
     augment_config = augment_config or AugmentConfig(replicas=f + 1)
+    stats = stats if stats is not None else PlanningStats()
 
     candidates = strategy_candidates(topology, config)
+    stats.symmetric = memo and candidates_symmetric(topology, candidates)
     plans: Dict[FaultPattern, Plan] = {}
+    first_of_size: Dict[int, FaultPattern] = {}
     for pattern in all_patterns_up_to(candidates, f):
+        canonical = first_of_size.setdefault(len(pattern), pattern)
+        if stats.symmetric and canonical != pattern:
+            sigma = pattern_permutation(candidates, canonical, pattern)
+            plans[pattern] = rename_plan(plans[canonical], sigma, topology)
+            stats.plans_memoised += 1
+            continue
         parent_assignment = None
         if pattern and config.minimize_distance:
             # The deterministic parent: remove the lexicographically last
@@ -214,4 +259,6 @@ def build_strategy(
             placement_config=config.placement,
             parent_assignment=parent_assignment,
         )
+        stats.plans_computed += 1
+    stats.plans_total = len(plans)
     return Strategy(f=f, plans=plans, covered_nodes=set(candidates))

@@ -8,6 +8,8 @@ one planning problem onto another while preserving every quantity the
 planner scores (loads, hop counts, lane rates, exposure). In that case
 one canonical plan per pattern *size* suffices; every other pattern's
 plan is the canonical plan under a node renaming.
+:func:`~repro.core.planner.strategy.build_strategy` does exactly that
+when asked to (``memo=True``).
 
 This module provides the three pieces:
 
@@ -37,20 +39,19 @@ placer would have produced had the nominal assignment been renamed too
 — sound (the verifier and the recovery-budget accounting both operate
 on the plans as stored) but possibly shipping more state per transition
 than the exhaustive build. That trade is why the memo is an explicit
-opt-in, and why the byte-identity guarantee is stated *per
-configuration*: for a fixed memo setting, results are byte-identical
-across worker counts.
+opt-in, and why it is the one planning option that changes which
+artifact is produced (the strategy cache keys on it).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from ..core.planner.plan import Plan
-from ..faults.patterns import FaultPattern
-from ..net.topology import Topology
-from ..sched.synthesis import GlobalSchedule
-from ..sched.table import NodeSchedule, PlannedTransmission
+from ...faults.patterns import FaultPattern
+from ...net.topology import Topology
+from ...sched.synthesis import GlobalSchedule
+from ...sched.table import NodeSchedule, PlannedTransmission
+from .plan import Plan
 
 
 def _link_signature(topology: Topology, a: str, b: str) -> Tuple:

@@ -49,7 +49,12 @@ from ...sim.trace import (
     Trace,
 )
 from ...workload.dataflow import DataflowGraph
-from ..planner.strategy import Strategy, StrategyConfig, build_strategy
+from ..planner.strategy import (
+    PlanningStats,
+    Strategy,
+    StrategyConfig,
+    build_strategy,
+)
 from ..planner.placement import PlacementConfig
 from ..planner.augment import AugmentConfig
 from .agent import NodeAgent
@@ -131,8 +136,8 @@ class BTRSystem:
         #: snapshotted into each RunResult.
         self.metrics = MetricsRegistry()
         #: Filled by prepare(): how the strategy was obtained (cache hit,
-        #: plans computed vs memoised, worker count, wall time).
-        self.plan_stats = None
+        #: plans computed vs memoised, wall time).
+        self.plan_stats: Optional[PlanningStats] = None
         #: (sender, receiver, kind) -> (link, lane, node) memo. Topology
         #: is static within a run (link scripts only mutate loss rates),
         #: but lane objects are rebuilt by lane_model.install(), so run()
@@ -220,45 +225,26 @@ class BTRSystem:
 
     def _obtain_strategy(self, strategy_config: StrategyConfig,
                          augment_config: AugmentConfig) -> Strategy:
-        """Cache lookup → fan-out/memo builder → legacy serial builder.
-
-        The perf layer is imported lazily: plain ``prepare()`` with the
-        default config (serial, no cache, no memo) must not pay for it.
-        Records how the strategy was obtained in ``self.plan_stats``.
-        """
-        cfg = self.config
-        use_perf = (cfg.planner_jobs != 1 or cfg.symmetry_memo
-                    or cfg.cache is not None)
-        if not use_perf:
-            self.plan_stats = None
-            return build_strategy(
-                self.workload, self.topology, self.router, cfg.f,
-                lane_model=self.lane_model, config=strategy_config,
-                augment_config=augment_config,
-            )
-
-        from ...perf import (
-            PlanningStats,
-            StrategyCache,
-            build_strategy_fanout,
-            strategy_cache_key,
-        )
+        """Cache lookup (when configured) → :func:`build_strategy` →
+        cache store. Records how the strategy was obtained in
+        ``self.plan_stats``."""
+        from ...perf.cache import StrategyCache, strategy_cache_key
         from ...perf.timing import Stopwatch
 
+        cfg = self.config
         stats = PlanningStats()
         self.plan_stats = stats
         watch = Stopwatch()
         cache = StrategyCache(cfg.cache) if cfg.cache else None
         if cache is not None:
-            key = strategy_cache_key(
-                self.workload, self.topology, cfg.f, cfg.seed,
+            stats.cache_key = strategy_cache_key(
+                self.workload, self.topology, cfg.f,
                 strategy_config=strategy_config,
                 augment_config=augment_config,
                 lane_fractions=cfg.lanes,
                 memo=cfg.symmetry_memo,
             )
-            stats.cache_key = key
-            cached = cache.load(key)
+            cached = cache.load(stats.cache_key)
             if cache.quarantined:
                 # A corrupt on-disk entry was set aside and treated as a
                 # miss — surface it, never fail prepare() over it.
@@ -271,22 +257,12 @@ class BTRSystem:
                 stats.wall_s = watch.elapsed_s()
                 return cached
 
-        if cfg.planner_jobs != 1 or cfg.symmetry_memo:
-            strategy = build_strategy_fanout(
-                self.workload, self.topology, self.router, cfg.f,
-                lane_model=self.lane_model, config=strategy_config,
-                augment_config=augment_config,
-                jobs=cfg.planner_jobs, memo=cfg.symmetry_memo,
-                stats=stats,
-            )
-        else:
-            strategy = build_strategy(
-                self.workload, self.topology, self.router, cfg.f,
-                lane_model=self.lane_model, config=strategy_config,
-                augment_config=augment_config,
-            )
-            stats.plans_total = len(strategy)
-            stats.plans_computed = len(strategy)
+        strategy = build_strategy(
+            self.workload, self.topology, self.router, cfg.f,
+            lane_model=self.lane_model, config=strategy_config,
+            augment_config=augment_config,
+            memo=cfg.symmetry_memo, stats=stats,
+        )
         if cache is not None:
             cache.store(stats.cache_key, strategy)
         stats.wall_s = watch.elapsed_s()

@@ -1,10 +1,10 @@
 """Performance layer: offline planning speed and the runtime's hot path.
 
 Nothing in here changes *what* the planner or runtime computes — only
-how fast the artifact is produced and whether work is recomputed at all:
+how fast the artifact is produced and whether work is recomputed at all.
+(The symmetry memo, which does change the artifact, lives with the
+planner in :mod:`repro.core.planner.symmetry`.)
 
-* :func:`build_strategy_fanout` — level-synchronous process fan-out over
-  fault patterns, with optional structural symmetry memoisation;
 * :class:`StrategyCache` / :func:`strategy_cache_key` — content-keyed
   on-disk reuse of finished strategies;
 * :mod:`repro.perf.fastpath` — the signature :class:`VerifyMemo`
@@ -39,12 +39,6 @@ from .cache import (
     strategy_cache_key,
 )
 from .fastpath import VerifyMemo, online_stats, trace_fingerprint
-from .parallel import PlanningStats, build_strategy_fanout, resolve_jobs
-from .symmetry import (
-    candidates_symmetric,
-    pattern_permutation,
-    rename_plan,
-)
 
 __all__ = [
     "BatchRuntime",
@@ -59,13 +53,7 @@ __all__ = [
     "StrategyCache",
     "default_cache_dir",
     "strategy_cache_key",
-    "PlanningStats",
     "VerifyMemo",
-    "build_strategy_fanout",
     "online_stats",
-    "resolve_jobs",
     "trace_fingerprint",
-    "candidates_symmetric",
-    "pattern_permutation",
-    "rename_plan",
 ]

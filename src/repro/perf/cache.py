@@ -1,12 +1,13 @@
 """On-disk strategy cache: content-keyed, atomically written.
 
 Strategies are pure functions of their planning inputs — the workload,
-the topology, the fault budget, the run seed, the planner configuration,
-and the planner algorithm itself. The cache key is a SHA-256 over a
-canonical JSON encoding of exactly those inputs (including
-``PLANNER_VERSION``: any change to the planning algorithm invalidates
-every cached artifact, because a stale plan silently installed on every
-node is the worst possible perf optimisation).
+the topology, the fault budget, the planner configuration, and the
+planner algorithm itself. The run seed is not one of them: planning
+never reads it, so every seed of a sweep shares one entry. The cache
+key is a SHA-256 over a canonical JSON encoding of exactly those inputs
+(including ``PLANNER_VERSION``: any change to the planning algorithm
+invalidates every cached artifact, because a stale plan silently
+installed on every node is the worst possible perf optimisation).
 
 Entries are full ``strategy_to_json`` artifacts — the same per-node
 representation ``repro plan --export`` ships — written via temp file +
@@ -97,7 +98,6 @@ def strategy_cache_key(
     workload: DataflowGraph,
     topology: Topology,
     f: int,
-    seed: int,
     strategy_config: Optional[StrategyConfig] = None,
     augment_config: Optional[AugmentConfig] = None,
     lane_fractions: Optional[LaneFractions] = None,
@@ -118,7 +118,6 @@ def strategy_cache_key(
         "workload": _workload_fingerprint(workload),
         "topology": _topology_fingerprint(topology),
         "f": f,
-        "seed": seed,
         "strategy_config": dataclasses.asdict(strategy_config),
         "augment_config": dataclasses.asdict(augment_config),
         "lane_fractions": dataclasses.asdict(lane_fractions),

@@ -1,14 +1,15 @@
-"""The repro.perf layer: fan-out determinism, cache, memo, hot paths.
+"""Planning stats, the strategy cache, the symmetry memo, hot paths.
 
 The contract under test, in decreasing strictness:
 
-* process fan-out is byte-invisible — ``build_strategy_fanout`` with any
-  worker count serialises identically to the legacy serial builder;
+* every ``prepare()`` records how its strategy was obtained in
+  ``plan_stats``;
 * the on-disk cache is content-keyed — hits round-trip losslessly, any
-  planner-version bump (or input change) invalidates;
+  planner-version bump (or input change) invalidates, and the run seed,
+  which planning never reads, is not part of the key;
 * symmetry memoisation is *valid*, not byte-identical — memoised
-  strategies cover the same patterns, pass ``repro verify --strict``,
-  and are themselves jobs-invariant;
+  strategies cover the same patterns and pass ``repro verify --strict``
+  (``tests/test_planner_golden.py`` pins their bytes);
 * the Trace per-kind indices and the engine's O(1) live-event counter
   agree with the naive O(n) definitions they replaced.
 """
@@ -16,15 +17,15 @@ The contract under test, in decreasing strictness:
 import pytest
 
 from repro import BTRConfig, BTRSystem
-from repro.core.planner import build_strategy, strategy_to_json
-from repro.net import Router, full_mesh_topology, ring_topology
-from repro.perf import (
+from repro.core.planner import (
     PlanningStats,
-    StrategyCache,
-    build_strategy_fanout,
+    build_strategy,
     candidates_symmetric,
-    strategy_cache_key,
+    strategy_to_json,
 )
+from repro.net import Router, full_mesh_topology, geo_topology, ring_topology
+from repro.perf import StrategyCache, strategy_cache_key
+from repro.workload import stretched_workload
 from repro.sim.engine import Simulator
 from repro.sim.trace import Custom, MessageSent, OutputProduced, Trace
 from repro.workload import industrial_workload, pipeline_workload
@@ -37,36 +38,6 @@ def planning_inputs(n_nodes=6, workload=None):
     return workload, topology, Router(topology)
 
 
-# ------------------------------------------------------------- fan-out
-
-
-class TestFanoutDeterminism:
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
-    def test_byte_identical_to_serial(self, jobs):
-        workload, topology, router = planning_inputs()
-        serial = build_strategy(workload, topology, router, f=1)
-        fanned = build_strategy_fanout(workload, topology, router, f=1,
-                                       jobs=jobs)
-        assert strategy_to_json(fanned) == strategy_to_json(serial)
-
-    def test_byte_identical_at_f2(self):
-        workload, topology, router = planning_inputs()
-        serial = build_strategy(workload, topology, router, f=2)
-        fanned = build_strategy_fanout(workload, topology, router, f=2,
-                                       jobs=2)
-        assert strategy_to_json(fanned) == strategy_to_json(serial)
-
-    def test_stats_filled(self):
-        workload, topology, router = planning_inputs()
-        stats = PlanningStats()
-        strategy = build_strategy_fanout(workload, topology, router, f=1,
-                                         jobs=2, stats=stats)
-        assert stats.jobs == 2
-        assert stats.plans_total == len(strategy)
-        assert stats.plans_computed == len(strategy)
-        assert stats.plans_memoised == 0
-
-
 # --------------------------------------------------------------- cache
 
 
@@ -75,7 +46,7 @@ class TestStrategyCache:
         workload, topology, router = planning_inputs()
         strategy = build_strategy(workload, topology, router, f=1)
         cache = StrategyCache(str(tmp_path))
-        key = strategy_cache_key(workload, topology, 1, seed=0)
+        key = strategy_cache_key(workload, topology, 1)
         assert cache.load(key) is None
         cache.store(key, strategy)
         cached = cache.load(key)
@@ -85,22 +56,20 @@ class TestStrategyCache:
 
     def test_key_covers_inputs(self):
         workload, topology, _ = planning_inputs()
-        base = strategy_cache_key(workload, topology, 1, seed=0)
-        assert strategy_cache_key(workload, topology, 1, seed=1) != base
-        assert strategy_cache_key(workload, topology, 2, seed=0) != base
-        assert strategy_cache_key(workload, topology, 1, seed=0,
-                                  memo=True) != base
+        base = strategy_cache_key(workload, topology, 1)
+        assert strategy_cache_key(workload, topology, 2) != base
+        assert strategy_cache_key(workload, topology, 1, memo=True) != base
         other = pipeline_workload()
         topology.place_endpoints_round_robin(other.sources, other.sinks)
-        assert strategy_cache_key(other, topology, 1, seed=0) != base
+        assert strategy_cache_key(other, topology, 1) != base
 
     def test_planner_version_bump_invalidates(self, monkeypatch):
         workload, topology, _ = planning_inputs()
-        before = strategy_cache_key(workload, topology, 1, seed=0)
+        before = strategy_cache_key(workload, topology, 1)
         import repro.perf.cache as cache_module
         monkeypatch.setattr(cache_module, "PLANNER_VERSION",
                             cache_module.PLANNER_VERSION + 1)
-        assert strategy_cache_key(workload, topology, 1, seed=0) != before
+        assert strategy_cache_key(workload, topology, 1) != before
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = StrategyCache(str(tmp_path))
@@ -184,11 +153,40 @@ class TestStrategyCache:
         result = second.run(n_periods=3)
         assert result.n_periods == 3
 
-    def test_default_config_skips_perf_layer(self):
+    def test_default_prepare_records_plan_stats(self):
         system = BTRSystem(industrial_workload(), full_mesh_topology(6),
                            BTRConfig(f=1))
         system.prepare()
-        assert system.plan_stats is None
+        stats = system.plan_stats
+        assert stats.plans_computed == len(system.strategy)
+        assert stats.plans_total == len(system.strategy)
+        assert stats.cache_hit is False
+        assert stats.cache_key is None
+
+    @pytest.mark.parametrize("make", [
+        lambda: (industrial_workload(),
+                 full_mesh_topology(8, bandwidth=1e8), 2),
+        lambda: (stretched_workload(industrial_workload(), 10),
+                 geo_topology(2, 4, bandwidth=1e8), 1),
+    ], ids=["fullmesh:8-f2", "geo:2x4-f1"])
+    def test_run_seed_changes_neither_strategy_nor_key(self, tmp_path,
+                                                       make):
+        def prepared(seed, cache=None):
+            workload, topology, f = make()
+            system = BTRSystem(workload, topology,
+                               BTRConfig(f=f, seed=seed, cache=cache))
+            system.prepare()
+            return system
+
+        # Planned from scratch, two seeds give one strategy...
+        assert (strategy_to_json(prepared(0).strategy)
+                == strategy_to_json(prepared(1).strategy))
+        # ...so a seed never prepared before is served from the cache.
+        first = prepared(42, cache=str(tmp_path))
+        second = prepared(12345, cache=str(tmp_path))
+        assert not first.plan_stats.cache_hit
+        assert second.plan_stats.cache_hit
+        assert second.plan_stats.cache_key == first.plan_stats.cache_key
 
 
 # ---------------------------------------------------------------- memo
@@ -211,23 +209,16 @@ class TestSymmetryMemo:
 
         workload, topology, router = planning_inputs()
         stats = PlanningStats()
-        memo = build_strategy_fanout(workload, topology, router, f=2,
-                                     memo=True, stats=stats)
+        memo = build_strategy(workload, topology, router, f=2,
+                              memo=True, stats=stats)
         exhaustive = build_strategy(workload, topology, router, f=2)
         assert memo.patterns() == exhaustive.patterns()
         assert stats.symmetric
         assert stats.plans_memoised > 0
         assert stats.plans_computed + stats.plans_memoised == len(memo)
+        assert stats.plans_total == len(memo)
         report = verify_strategy(memo, topology, router=router)
         assert report.exit_code(strict=True) == 0
-
-    def test_memo_is_jobs_invariant(self):
-        workload, topology, router = planning_inputs()
-        one = build_strategy_fanout(workload, topology, router, f=1,
-                                    jobs=1, memo=True)
-        two = build_strategy_fanout(workload, topology, router, f=1,
-                                    jobs=2, memo=True)
-        assert strategy_to_json(one) == strategy_to_json(two)
 
     def test_memo_skipped_on_asymmetric_topology(self):
         workload = industrial_workload()
@@ -236,8 +227,8 @@ class TestSymmetryMemo:
                                              workload.sinks)
         router = Router(topology)
         stats = PlanningStats()
-        memo = build_strategy_fanout(workload, topology, router, f=1,
-                                     memo=True, stats=stats)
+        memo = build_strategy(workload, topology, router, f=1,
+                              memo=True, stats=stats)
         serial = build_strategy(workload, topology, router, f=1)
         assert not stats.symmetric
         assert stats.plans_memoised == 0

@@ -44,6 +44,10 @@ trajectories land next to the report:
   ``BENCH_sim.json`` it is committed, so ``tools/bench_check.py`` can
   fail CI when soundness breaks or tightness regresses.
 
+A filtered run (``--only``) resets the committed ``mc``/``fuzz``/
+``bounds`` streams, and rewrites the BENCH files built from them, only
+when it runs the experiment that writes them (E18, E20, E21).
+
 ``BENCH_geo.json`` and ``geo_stats.jsonl`` are the frozen record of the
 retired region-sharding experiment (E22); nothing appends to them.
 
@@ -72,6 +76,17 @@ FUZZ_STATS = os.path.join(RESULTS, "fuzz_stats.jsonl")
 BOUNDS_STATS = os.path.join(RESULTS, "bounds_stats.jsonl")
 CACHE_ENV_VAR = "REPRO_STRATEGY_CACHE"
 DEFAULT_CACHE = os.path.join(REPO, "benchmarks", ".strategy_cache")
+
+#: Scratch stat streams (gitignored): every suite run starts them afresh.
+SCRATCH_STREAMS = (PLANNER_STATS, OBS_STATS, SIM_STATS)
+#: Committed stat streams, by the benchmark file that appends to each.
+#: A run resets and re-aggregates one only when it runs that file, so a
+#: filtered run (``--only e19``) leaves the others' results alone.
+COMMITTED_STREAMS = {
+    "test_e18_model_check.py": MC_STATS,
+    "test_e20_fuzz.py": FUZZ_STATS,
+    "test_e21_static_bounds.py": BOUNDS_STATS,
+}
 
 ORDER = [
     "e1_recovery_bound",
@@ -158,6 +173,17 @@ def benchmark_files(only: str) -> list:
     return files
 
 
+def streams_to_reset(files: list) -> list:
+    """The stat streams a run of ``files`` rewrites: every scratch
+    stream, and each committed stream whose benchmark file is among
+    ``files``."""
+    names = {os.path.basename(f) for f in files}
+    return list(SCRATCH_STREAMS) + [
+        stream for name, stream in COMMITTED_STREAMS.items()
+        if name in names
+    ]
+
+
 def run_shard(path: str, env: dict) -> dict:
     """One pytest shard: a single benchmark file, timed wall-to-wall."""
     rel = os.path.relpath(path, REPO)
@@ -211,7 +237,6 @@ def aggregate_planner_stats() -> dict:
         "planning_wall_s": round(planning_wall, 3),
         "plans_per_sec": (round((computed + memoised) / planning_wall, 1)
                           if planning_wall > 0 else None),
-        "jobs_seen": sorted({r.get("jobs", 1) for r in records}),
     }
 
 
@@ -617,9 +642,8 @@ def main() -> int:
                   file=sys.stderr)
             return 2
         os.makedirs(RESULTS, exist_ok=True)
-        # Fresh planning/obs/sim/mc/fuzz-stats streams for this run.
-        for stream in (PLANNER_STATS, OBS_STATS, SIM_STATS, MC_STATS,
-                       FUZZ_STATS, BOUNDS_STATS):
+        streams = streams_to_reset(files)
+        for stream in streams:
             with open(stream, "w"):
                 pass
         print(f"running {len(files)} benchmark shards "
@@ -637,14 +661,15 @@ def main() -> int:
         if appended:
             print("BENCH_sim.json: trajectory entry appended "
                   "(tracked file — commit it to extend the baseline)")
-        write_json(os.path.join(RESULTS, "BENCH_mc.json"),
-                   aggregate_mc_stats())
-        write_json(os.path.join(RESULTS, "BENCH_fuzz.json"),
-                   aggregate_fuzz_stats())
-        bounds_appended = update_bounds_trajectory(
-            os.path.join(RESULTS, "BENCH_bounds.json"),
-            aggregate_bounds_stats())
-        if bounds_appended:
+        if MC_STATS in streams:
+            write_json(os.path.join(RESULTS, "BENCH_mc.json"),
+                       aggregate_mc_stats())
+        if FUZZ_STATS in streams:
+            write_json(os.path.join(RESULTS, "BENCH_fuzz.json"),
+                       aggregate_fuzz_stats())
+        if BOUNDS_STATS in streams and update_bounds_trajectory(
+                os.path.join(RESULTS, "BENCH_bounds.json"),
+                aggregate_bounds_stats()):
             print("BENCH_bounds.json: trajectory entry appended "
                   "(tracked file — commit it to extend the baseline)")
         print(f"suite: {suite['total_wall_s']}s wall over "
